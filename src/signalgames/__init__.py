@@ -38,7 +38,7 @@ from .infotheory import (
     sender_average_info,
     signal_info,
 )
-from .reinforcement import ReinforcementTable, make_rng, sample
+from .reinforcement import ReinforcementTable, make_rng
 
 __version__ = "0.1.0"
 
@@ -74,5 +74,4 @@ __all__ = [
     "compositional_expected_average",
     "ReinforcementTable",
     "make_rng",
-    "sample",
 ]

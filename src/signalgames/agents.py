@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -158,7 +158,7 @@ class MinimalistReceiver:
         for symbol in signal:
             if symbol is None:
                 continue
-            row = self.table.weights(symbol)
+            row = self.table.peek(symbol)
             for a in range(self.num_acts):
                 scores[a] += row[a]
         return scores

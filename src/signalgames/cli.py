@@ -17,6 +17,7 @@ from typing import Optional
 from .agents import Sender, receiver_from_json_dict
 from .engine import (
     BatchResult,
+    EventError,
     ReplacementEvent,
     Trajectory,
     TrajectoryConfig,
@@ -29,8 +30,7 @@ from .infotheory import (
     NEG_INF,
     PolicySnapshot,
     compositional_conditionals,
-    compositional_expectation,
-    compositional_expected_average,
+    csv_cell,
     info_table,
     receiver_average_info,
     signal_info,
@@ -90,6 +90,24 @@ def _reject_unknown(unknown: set, where: str) -> None:
         raise ConfigError(f"{where}: unknown key {sorted(unknown)[0]!r}")
 
 
+_TYPES = {
+    "an integer": int,
+    "a number": (int, float),
+    "a boolean": bool,
+    "a string": str,
+    "a list": list,
+}
+
+
+def _field(data: dict, key: str, default, kind: str, where: str):
+    """``data[key]`` (``default`` if absent), which must be of ``kind``."""
+    value = data.get(key, default)
+    is_bool = isinstance(value, bool)
+    ok = isinstance(value, _TYPES[kind]) and (is_bool == (kind == "a boolean"))
+    _require(ok, f"{where}.{key}", f"must be {kind}, not {json.dumps(value)}")
+    return value
+
+
 def _parse_game(value, where: str) -> GameSpec:
     if value is None or value == "two_sender":
         return make_two_sender_game()
@@ -111,13 +129,13 @@ def _parse_game(value, where: str) -> GameSpec:
 def _parse_event(data, where: str) -> ReplacementEvent:
     _require(isinstance(data, dict), where, "event must be an object")
     _reject_unknown(set(data) - _EVENT_KEYS, where)
-    for key in _EVENT_KEYS:
+    for key in sorted(_EVENT_KEYS):
         _require(key in data, where, f"missing key {key!r}")
     return ReplacementEvent(
-        turn=data["turn"],
-        sender_index=data["sender"],
-        old_symbol=data["old"],
-        new_symbol=data["new"],
+        turn=_field(data, "turn", None, "an integer", where),
+        sender_index=_field(data, "sender", None, "an integer", where),
+        old_symbol=_field(data, "old", None, "a string", where),
+        new_symbol=_field(data, "new", None, "a string", where),
     )
 
 
@@ -131,46 +149,41 @@ def _parse_experiment(data, where: str) -> ExperimentConfig:
     spec = _parse_game(data.get("game"), f"{where}.game")
     events = tuple(
         _parse_event(e, f"{where}.events[{i}]")
-        for i, e in enumerate(data.get("events", []))
+        for i, e in enumerate(_field(data, "events", [], "a list", where))
     )
     trajectory = TrajectoryConfig(
         spec=spec,
-        receiver_kind=data.get("receiver", "conventional"),
-        temperature=float(data.get("temperature", 2000.0)),
-        normalized_scores=bool(data.get("normalized_scores", False)),
-        introduction_mode=data.get("introduction_mode", "erasing"),
-        alpha=float(data.get("alpha", 1.0)),
-        total_turns=data.get("total_turns", 100_000),
+        receiver_kind=_field(data, "receiver", "conventional", "a string", where),
+        temperature=float(_field(data, "temperature", 2000.0, "a number", where)),
+        normalized_scores=_field(data, "normalized_scores", False, "a boolean", where),
+        introduction_mode=_field(data, "introduction_mode", "erasing", "a string", where),
+        alpha=float(_field(data, "alpha", 1.0, "a number", where)),
+        total_turns=_field(data, "total_turns", 100_000, "an integer", where),
         events=events,
-        snapshot_every=data.get("snapshot_every", 100),
-        seed=data.get("seed", 0),
+        snapshot_every=_field(data, "snapshot_every", 100, "an integer", where),
+        seed=_field(data, "seed", 0, "an integer", where),
     )
     _require(
         trajectory.receiver_kind in ("conventional", "minimalist", "generalist"),
         f"{where}.receiver",
         f"unknown receiver kind {trajectory.receiver_kind!r}",
     )
-    _require(
-        isinstance(trajectory.total_turns, int) and trajectory.total_turns >= 0,
-        f"{where}.total_turns",
-        "must be a non-negative integer",
-    )
-    num_runs = data.get("num_runs", 20)
-    _require(
-        isinstance(num_runs, int) and num_runs >= 1,
-        f"{where}.num_runs",
-        "must be a positive integer",
-    )
+    _require(trajectory.total_turns >= 0, f"{where}.total_turns", "must be non-negative")
+    _require(trajectory.seed >= 0, f"{where}.seed", "must be non-negative")
+    num_runs = _field(data, "num_runs", 20, "an integer", where)
+    _require(num_runs >= 1, f"{where}.num_runs", "must be positive")
     try:
         trajectory.check()
+    except EventError as exc:
+        raise ConfigError(f"{where}.events[{exc.index}]: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
     return ExperimentConfig(
         name=name,
         trajectory=trajectory,
         num_runs=num_runs,
-        plot=bool(data.get("plot", True)),
-        comment=data.get("comment", ""),
+        plot=_field(data, "plot", True, "a boolean", where),
+        comment=_field(data, "comment", "", "a string", where),
     )
 
 
@@ -205,21 +218,15 @@ def parse_config(path) -> list[ExperimentConfig]:
 # experiment artifacts
 
 
-def _csv_value(value: float) -> str:
-    if value == NEG_INF:
-        return "-inf"
-    return f"{value:.12g}"
-
-
 def _runs_csv(batch: BatchResult) -> str:
     lines = ["run_id,turn,phase,expected_payoff,sender_info_bits,receiver_info_bits"]
     for run_id, trajectory in enumerate(batch.trajectories):
         for report in trajectory.reports:
             lines.append(
                 f"{run_id},{report.turn},{report.phase},"
-                f"{_csv_value(report.expected_payoff)},"
-                f"{_csv_value(report.sender_info_bits)},"
-                f"{_csv_value(report.receiver_info_bits)}"
+                f"{csv_cell(report.expected_payoff)},"
+                f"{csv_cell(report.sender_info_bits)},"
+                f"{csv_cell(report.receiver_info_bits)}"
             )
     return "\r\n".join(lines) + "\r\n"
 
@@ -231,10 +238,10 @@ def _aggregate_csv(batch: BatchResult) -> str:
     ]
     for row in batch.aggregate:
         lines.append(
-            f"{row.turn},{row.phase},{_csv_value(row.mean_payoff)},"
-            f"{_csv_value(row.std_payoff)},{_csv_value(row.mean_sender_info)},"
-            f"{_csv_value(row.std_sender_info)},{_csv_value(row.mean_receiver_info)},"
-            f"{_csv_value(row.std_receiver_info)}"
+            f"{row.turn},{row.phase},{csv_cell(row.mean_payoff)},"
+            f"{csv_cell(row.std_payoff)},{csv_cell(row.mean_sender_info)},"
+            f"{csv_cell(row.std_sender_info)},{csv_cell(row.mean_receiver_info)},"
+            f"{csv_cell(row.std_receiver_info)}"
         )
     return "\r\n".join(lines) + "\r\n"
 
@@ -351,8 +358,9 @@ def audit_command(
     apply_event(event, senders, receiver)
     post_snapshot = take_snapshot(spec, senders, receiver)
 
+    expected_snapshot = compositional_conditionals(pre_snapshot, replaced_symbol, new_symbol)
     actual = info_table(post_snapshot, rows="compound", cols="acts")
-    expected = compositional_expectation(pre_snapshot, replaced_symbol, new_symbol)
+    expected = info_table(expected_snapshot, rows="compound", cols="acts")
 
     print(f"replacing {replaced_symbol!r} with fresh symbol {new_symbol!r}", file=out)
     print("\nactual post-replacement information about acts (bits):", file=out)
@@ -361,18 +369,15 @@ def audit_command(
     print(_format_table(expected), file=out)
 
     # per-row average transmitted info, actual vs expected
-    expected_cond, q_post = compositional_conditionals(
-        pre_snapshot, replaced_symbol, new_symbol
-    )
     prior = post_snapshot.state_prior
     print("\nper-signal transmitted info, actual vs expected (bits):", file=out)
-    for sig in sorted(q_post, key=lambda s: tuple(map(str, s))):
+    for sig, q in expected_snapshot.signal_marginal().items():
         actual_bits = (
-            signal_info(post_snapshot.receiver_conditionals[sig], prior)
-            if q_post[sig] > 0
-            else 0.0
+            signal_info(post_snapshot.receiver_conditionals[sig], prior) if q > 0 else 0.0
         )
-        expected_bits = signal_info(expected_cond[sig], prior) if q_post[sig] > 0 else 0.0
+        expected_bits = (
+            signal_info(expected_snapshot.receiver_conditionals[sig], prior) if q > 0 else 0.0
+        )
         label = " & ".join(sig)
         print(
             f"  {label:<16} actual {actual_bits:6.3f}  expected {expected_bits:6.3f}"
@@ -381,7 +386,7 @@ def audit_command(
         )
 
     actual_avg = receiver_average_info(post_snapshot)
-    expected_avg = compositional_expected_average(pre_snapshot, replaced_symbol, new_symbol)
+    expected_avg = receiver_average_info(expected_snapshot)
     gap = expected_avg - actual_avg
     print(
         f"\naverage transmitted info: actual {actual_avg:.4f}, "

@@ -8,9 +8,9 @@ run independent trajectories on consecutive seeds and aggregate by turn.
 
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -18,6 +18,7 @@ from .agents import Receiver, Sender, make_receiver
 from .game import GameSpec, InvalidSpecError, validate
 from .infotheory import (
     PolicySnapshot,
+    ordered_sum,
     receiver_average_info,
     sender_average_info,
 )
@@ -33,6 +34,15 @@ class ReplacementEvent:
     sender_index: int
     old_symbol: str
     new_symbol: str
+
+
+class EventError(ValueError):
+    """A replacement event that cannot fire; ``index`` is its position in
+    ``TrajectoryConfig.events``."""
+
+    def __init__(self, index: int, message: str):
+        super().__init__(message)
+        self.index = index
 
 
 @dataclass
@@ -56,11 +66,35 @@ class TrajectoryConfig:
             raise ValueError("total_turns must be non-negative")
         if self.snapshot_every < 1:
             raise ValueError("snapshot_every must be at least 1")
-        for event in self.events:
+        self._check_events()
+
+    def _check_events(self) -> None:
+        """Replay the events in turn order against the alphabets they rewrite."""
+        alphabets = [list(a) for a in self.spec.sender_alphabets]
+        # retired symbols stay in use: a receiver may still hold urns for them
+        used = set(self.spec.all_symbols())
+        turns = set()
+        for index, event in sorted(enumerate(self.events), key=lambda ie: ie[1].turn):
             if not (1 <= event.turn <= self.total_turns):
-                raise ValueError(
-                    f"event turn {event.turn} outside [1, {self.total_turns}]"
+                raise EventError(index, f"turn {event.turn} outside [1, {self.total_turns}]")
+            if event.turn in turns:
+                raise EventError(index, f"a second event at turn {event.turn}")
+            if not (0 <= event.sender_index < len(alphabets)):
+                raise EventError(
+                    index, f"sender {event.sender_index} outside [0, {len(alphabets) - 1}]"
                 )
+            alphabet = alphabets[event.sender_index]
+            if event.old_symbol not in alphabet:
+                raise EventError(
+                    index,
+                    f"{event.old_symbol!r} is not in sender {event.sender_index}'s "
+                    f"alphabet {alphabet} at turn {event.turn}",
+                )
+            if event.new_symbol in used:
+                raise EventError(index, f"new symbol {event.new_symbol!r} is already in use")
+            turns.add(event.turn)
+            used.add(event.new_symbol)
+            alphabet[alphabet.index(event.old_symbol)] = event.new_symbol
 
 
 @dataclass
@@ -131,38 +165,29 @@ def apply_event(
 def take_snapshot(
     spec: GameSpec, senders: Sequence[Sender], receiver: Receiver
 ) -> PolicySnapshot:
-    """Freeze current conditional distributions over the live alphabets."""
+    """Freeze current conditional distributions over the live alphabets.
+
+    Reading a policy never changes it: agents report unseen urns at their
+    initial weights without storing them.
+    """
     alphabets = tuple(tuple(sender.alphabet) for sender in senders)
-    conditionals = [sender.conditional_matrix() for sender in senders]
-    snapshot = PolicySnapshot(
+    return PolicySnapshot(
         state_prior=spec.prior_array(),
         sender_alphabets=alphabets,
-        sender_conditionals=conditionals,
-        receiver_conditionals={},
+        sender_conditionals=[sender.conditional_matrix() for sender in senders],
+        receiver_conditionals={
+            sig: receiver.act_distribution(sig) for sig in itertools.product(*alphabets)
+        },
     )
-    receiver_conditionals = {
-        sig: np.asarray(receiver.act_distribution(sig), dtype=float)
-        for sig in snapshot.signals()
-    }
-    snapshot.receiver_conditionals = receiver_conditionals
-    return snapshot
 
 
 def snapshot_expected_payoff(spec: GameSpec, snapshot: PolicySnapshot) -> float:
     """Exact expected payoff of the snapshotted policies."""
-    total = 0.0
-    utility = spec.utility
-    for s in range(spec.num_states):
-        p_s = snapshot.state_prior[s]
-        if p_s <= 0:
-            continue
-        for sig in snapshot.signals():
-            p_sig = snapshot.signal_prob_given_state(sig, s)
-            if p_sig <= 0:
-                continue
-            rho = snapshot.receiver_conditionals[sig]
-            total += p_s * p_sig * float(np.dot(rho, utility[s]))
-    return total
+    joint = snapshot.joint()
+    rho = snapshot.act_tensor()
+    # E[utility | state, signal], laid out like the joint
+    payoff = (spec.utility_array() @ rho.reshape(-1, rho.shape[-1]).T).reshape(joint.shape)
+    return ordered_sum(np.where(joint > 0, joint * payoff, 0.0))
 
 
 def make_report(spec: GameSpec, snapshot: PolicySnapshot, turn: int, phase: str) -> InfoReport:

@@ -7,9 +7,7 @@ slot in a partial signal.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -51,19 +49,6 @@ class GameSpec:
 
     def all_symbols(self) -> list[str]:
         return [m for alphabet in self.sender_alphabets for m in alphabet]
-
-    def sender_of(self, symbol: str) -> int:
-        for i, alphabet in enumerate(self.sender_alphabets):
-            if symbol in alphabet:
-                return i
-        raise KeyError(f"unknown symbol {symbol!r}")
-
-    def signals(self) -> list[CompoundSignal]:
-        """All complete compound signals, in deterministic product order."""
-        return [tuple(sig) for sig in itertools.product(*self.sender_alphabets)]
-
-    def optimal_act(self, state: int) -> int:
-        return int(np.argmax(self.utility_array()[state]))
 
     def to_json_dict(self) -> dict:
         return {
@@ -153,19 +138,6 @@ def make_two_sender_game() -> GameSpec:
             utility=identity,
         )
     )
-
-
-def validate_signal(
-    alphabets: tuple[tuple[str, ...], ...], signal: CompoundSignal
-) -> None:
-    """Check slot count and per-sender membership of a compound signal."""
-    if len(signal) != len(alphabets):
-        raise ValueError(
-            f"signal {signal!r} has {len(signal)} slots, expected {len(alphabets)}"
-        )
-    for slot, (symbol, alphabet) in enumerate(zip(signal, alphabets)):
-        if symbol is not None and symbol not in alphabet:
-            raise ValueError(f"slot {slot}: {symbol!r} not in sender alphabet")
 
 
 def signal_label(signal: CompoundSignal) -> str:

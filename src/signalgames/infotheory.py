@@ -4,15 +4,23 @@ Everything is in bits (log base 2).  Zero conditional probabilities produce a
 negative-infinity sentinel in content tables; the sentinel is set by an exact
 zero test, never by floating-point underflow.  Metrics are exact expectations
 over states, messages and acts: no empirical sampling enters here.
+
+Every metric is an array expression over two tensors that a snapshot derives
+from its fields on each call: the joint ``P(state, m_1, ..., m_k)`` and the
+act tensor ``rho(act | m_1, ..., m_k)``.  Reported totals are summed left to
+right in signal order (:func:`ordered_sum`), so they do not depend on how
+numpy groups the terms of a long sum.
 """
 
 from __future__ import annotations
 
+import functools
 import io
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+import operator
+from dataclasses import dataclass
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -26,11 +34,24 @@ ZERO_TOL = 1e-15
 NORM_TOL = 1e-9
 
 
+def ordered_sum(terms) -> float:
+    """Left-to-right sum in C order; ``ndarray.sum`` pairs terms from 8 on."""
+    return functools.reduce(operator.add, np.ravel(terms).tolist(), 0.0)
+
+
+def csv_cell(value: float) -> str:
+    """A metric value as written to CSV files, with the -inf sentinel."""
+    return "-inf" if value == NEG_INF else f"{value:.12g}"
+
+
 def _check_normalized(p: np.ndarray, name: str) -> None:
-    if np.any(p < -ZERO_TOL):
+    """Raise unless every vector along the last axis is a distribution."""
+    if (p < -ZERO_TOL).any():
         raise ValueError(f"{name} has negative entries")
-    if abs(float(p.sum()) - 1.0) > NORM_TOL:
-        raise ValueError(f"{name} sums to {float(p.sum())!r}, not 1")
+    sums = p.sum(axis=-1)
+    off = np.abs(sums - 1.0) > NORM_TOL
+    if off.any():
+        raise ValueError(f"{name} sums to {float(np.extract(off, sums)[0])!r}, not 1")
 
 
 def entropy(p: Sequence[float]) -> float:
@@ -50,31 +71,39 @@ def pointwise_info(p_cond: float, p_prior: float) -> float:
     return math.log2(p_cond / p_prior)
 
 
+def _average_info(q: np.ndarray, cond: np.ndarray, prior: np.ndarray) -> float:
+    """Sum of q(m) * KL(cond[m] || prior) in bits over messages with q(m) > ZERO_TOL.
+
+    ``q`` holds one probability per message, in any shape; ``cond`` has that
+    shape plus a trailing axis over the outcomes ``prior`` is defined on.
+    Only the conditionals of messages that are sent are checked.
+    """
+    sent = q > ZERO_TOL
+    if not sent.any():
+        return 0.0
+    _check_normalized(cond[sent], "conditional")
+    _check_normalized(prior, "prior")
+    if (prior <= 0).any():
+        raise ValueError("prior must be strictly positive")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(cond > ZERO_TOL, cond * np.log2(cond / prior), 0.0)
+    return ordered_sum(np.where(sent, q * terms.sum(axis=-1), 0.0))
+
+
 def signal_info(p_cond: Sequence[float], p_prior: Sequence[float]) -> float:
     """KL divergence (bits) from prior to the post-signal conditional."""
     cond = np.asarray(p_cond, dtype=float)
-    prior = np.asarray(p_prior, dtype=float)
-    _check_normalized(cond, "conditional")
-    _check_normalized(prior, "prior")
-    if np.any(prior <= 0):
-        raise ValueError("prior must be strictly positive")
-    mask = cond > ZERO_TOL
-    return float(np.sum(cond[mask] * np.log2(cond[mask] / prior[mask])))
+    return _average_info(np.array(1.0), cond, np.asarray(p_prior, dtype=float))
 
 
 def mutual_info(joint: Sequence[Sequence[float]]) -> float:
     """Mutual information (bits) of a joint distribution matrix."""
     j = np.asarray(joint, dtype=float)
     _check_normalized(j.ravel(), "joint")
-    row = j.sum(axis=1)  # P(s)
-    col = j.sum(axis=0)  # P(m)
-    total = 0.0
-    for i in range(j.shape[0]):
-        for k in range(j.shape[1]):
-            p = j[i, k]
-            if p > ZERO_TOL:
-                total += p * math.log2(p / (row[i] * col[k]))
-    return total
+    independent = np.outer(j.sum(axis=1), j.sum(axis=0))  # P(s) P(m)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(j > ZERO_TOL, j * np.log2(j / independent), 0.0)
+    return ordered_sum(terms)
 
 
 def average_info(
@@ -87,18 +116,17 @@ def average_info(
     _check_normalized(q, "message probabilities")
     if len(conditionals) != len(q):
         raise ValueError("one conditional per message required")
-    return float(
-        sum(
-            qi * signal_info(cond, prior)
-            for qi, cond in zip(q, conditionals)
-            if qi > ZERO_TOL
-        )
-    )
+    cond = np.asarray(conditionals, dtype=float)
+    return _average_info(q, cond, np.asarray(prior, dtype=float))
 
 
 @dataclass
 class PolicySnapshot:
-    """Frozen conditional distributions of all agents at one turn."""
+    """Frozen conditional distributions of all agents at one turn.
+
+    :meth:`joint` and :meth:`act_tensor` derive the dense arrays the metrics
+    use from the fields on every call, so reassigning a field is safe.
+    """
 
     state_prior: np.ndarray
     sender_alphabets: tuple[tuple[str, ...], ...]
@@ -124,51 +152,31 @@ class PolicySnapshot:
         return len(next(iter(self.receiver_conditionals.values())))
 
     def signals(self) -> list[CompoundSignal]:
-        return [tuple(sig) for sig in itertools.product(*self.sender_alphabets)]
+        """All compound signals, in product order: the C order of the arrays."""
+        return list(itertools.product(*self.sender_alphabets))
 
-    def signal_prob_given_state(self, signal: CompoundSignal, state: int) -> float:
-        p = 1.0
-        for sender, symbol in enumerate(signal):
-            alphabet = self.sender_alphabets[sender]
-            p *= float(self.sender_conditionals[sender][state, alphabet.index(symbol)])
-        return p
+    def joint(self) -> np.ndarray:
+        """P(state, m_1, ..., m_k), of shape (S, |M_1|, ..., |M_k|)."""
+        probs = np.ones(self.num_states)  # P(m_1, ..., m_i | state)
+        for i, cond in enumerate(self.sender_conditionals):
+            probs = probs[..., None] * cond.reshape((len(cond),) + (1,) * i + (-1,))
+        return self.state_prior.reshape((-1,) + (1,) * (probs.ndim - 1)) * probs
+
+    def act_tensor(self) -> np.ndarray:
+        """rho(act | m_1, ..., m_k), of shape (|M_1|, ..., |M_k|, A)."""
+        rows = [self.receiver_conditionals[sig] for sig in self.signals()]
+        return np.array(rows).reshape(tuple(map(len, self.sender_alphabets)) + (-1,))
 
     def signal_marginal(self) -> dict[CompoundSignal, float]:
         """Q(signal) induced by the prior and current sender policies."""
-        return {
-            sig: float(
-                sum(
-                    self.state_prior[s] * self.signal_prob_given_state(sig, s)
-                    for s in range(self.num_states)
-                )
-            )
-            for sig in self.signals()
-        }
+        return dict(zip(self.signals(), self.joint().sum(axis=0).ravel().tolist()))
 
     def state_posterior(self, signal: CompoundSignal) -> np.ndarray:
         """P(state | signal) by Bayes; zero-probability signals stay zero."""
-        joint = np.array(
-            [
-                self.state_prior[s] * self.signal_prob_given_state(signal, s)
-                for s in range(self.num_states)
-            ]
-        )
+        index = tuple(a.index(m) for a, m in zip(self.sender_alphabets, signal))
+        joint = self.joint()[(slice(None),) + index]
         total = joint.sum()
-        if total <= 0.0:
-            return joint
-        return joint / total
-
-    def validate(self) -> list[str]:
-        problems = []
-        if abs(float(self.state_prior.sum()) - 1.0) > NORM_TOL:
-            problems.append("state prior not normalized")
-        for i, mat in enumerate(self.sender_conditionals):
-            if np.any(np.abs(mat.sum(axis=1) - 1.0) > NORM_TOL):
-                problems.append(f"sender {i} conditional rows not normalized")
-        for sig, row in self.receiver_conditionals.items():
-            if abs(float(np.sum(row)) - 1.0) > NORM_TOL:
-                problems.append(f"receiver conditional for {sig} not normalized")
-        return problems
+        return joint / total if total > 0.0 else joint
 
     def sender_of(self, symbol: str) -> int:
         for i, alphabet in enumerate(self.sender_alphabets):
@@ -179,11 +187,9 @@ class PolicySnapshot:
 
 def induced_act_prior(snapshot: PolicySnapshot) -> np.ndarray:
     """Marginal act distribution under current sender and receiver policies."""
-    q = snapshot.signal_marginal()
-    prior = np.zeros(snapshot.num_acts)
-    for sig, qp in q.items():
-        prior += qp * snapshot.receiver_conditionals[sig]
-    return prior
+    rho = snapshot.act_tensor()
+    weighted = snapshot.joint().sum(axis=0)[..., None] * rho
+    return weighted.reshape(-1, rho.shape[-1]).sum(axis=0)
 
 
 def _act_prior(snapshot: PolicySnapshot, act_prior) -> np.ndarray:
@@ -200,23 +206,17 @@ def _act_prior(snapshot: PolicySnapshot, act_prior) -> np.ndarray:
 
 def sender_average_info(snapshot: PolicySnapshot) -> float:
     """Average information the compound signals carry about states (bits)."""
-    q = snapshot.signal_marginal()
-    total = 0.0
-    for sig, qp in q.items():
-        if qp > ZERO_TOL:
-            total += qp * signal_info(snapshot.state_posterior(sig), snapshot.state_prior)
-    return total
+    joint = snapshot.joint().reshape(snapshot.num_states, -1)  # one column per signal
+    q = joint.sum(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        posterior = (joint / q).T
+    return _average_info(q, posterior, snapshot.state_prior)
 
 
 def receiver_average_info(snapshot: PolicySnapshot, act_prior=None) -> float:
     """Average information the compound signals carry about acts (bits)."""
-    prior = _act_prior(snapshot, act_prior)
-    q = snapshot.signal_marginal()
-    total = 0.0
-    for sig, qp in q.items():
-        if qp > ZERO_TOL:
-            total += qp * signal_info(snapshot.receiver_conditionals[sig], prior)
-    return total
+    q = snapshot.joint().sum(axis=0)
+    return _average_info(q, snapshot.act_tensor(), _act_prior(snapshot, act_prior))
 
 
 RowLabel = Union[str, tuple]
@@ -237,53 +237,61 @@ class InfoTable:
         out = io.StringIO()
         out.write("," + ",".join(self.col_labels) + "\r\n")
         for label, row in zip(self.row_labels, self.cells):
-            cells = ["-inf" if v == NEG_INF else f"{v:.12g}" for v in row]
-            out.write(label + "," + ",".join(cells) + "\r\n")
+            out.write(label + "," + ",".join(map(csv_cell, row)) + "\r\n")
         return out.getvalue()
 
 
-def _conditional_for_row(
-    snapshot: PolicySnapshot, row: RowLabel, cols: str
-) -> np.ndarray:
-    if isinstance(row, tuple):
+def _row_conditionals(snapshot: PolicySnapshot, rows: str, cols: str) -> np.ndarray:
+    """P(column | message), one row per label of ``_row_labels(snapshot, rows)``.
+
+    Rows of messages that are never sent stay all zero.
+    """
+    joint = snapshot.joint()
+    if rows == "compound":
         if cols == "acts":
-            return snapshot.receiver_conditionals[row]
-        return snapshot.state_posterior(row)
-    # atomic message row
-    sender = snapshot.sender_of(row)
-    if cols == "states":
-        alphabet = snapshot.sender_alphabets[sender]
-        joint = np.array(
-            [
-                snapshot.state_prior[s]
-                * float(snapshot.sender_conditionals[sender][s, alphabet.index(row)])
-                for s in range(snapshot.num_states)
-            ]
-        )
-        total = joint.sum()
-        return joint / total if total > 0 else joint
-    # acts: marginalize the receiver conditional over signals containing the
-    # atomic message, weighted by how often each such signal arrives
-    num = np.zeros(snapshot.num_acts)
-    den = 0.0
-    for sig, qp in snapshot.signal_marginal().items():
-        if sig[sender] == row:
-            num += qp * snapshot.receiver_conditionals[sig]
-            den += qp
-    return num / den if den > 0 else num
+            return snapshot.act_tensor().reshape(-1, snapshot.num_acts)
+        num = joint.reshape(len(joint), -1).T
+        den = num.sum(axis=1)
+    elif cols == "states":
+        prior = snapshot.state_prior[:, None]
+        num = np.concatenate([(prior * cond).T for cond in snapshot.sender_conditionals])
+        den = num.sum(axis=1)
+    else:
+        # acts of an atomic message: the receiver conditional averaged over
+        # the signals that contain it, weighted by how often each arrives
+        q = joint.sum(axis=0)
+        weighted = q[..., None] * snapshot.act_tensor()
+        num = np.concatenate([
+            np.moveaxis(weighted, i, 0).reshape(q.shape[i], -1, snapshot.num_acts).sum(axis=1)
+            for i in range(q.ndim)
+        ])
+        den = np.concatenate([
+            np.moveaxis(q, i, 0).reshape(q.shape[i], -1).sum(axis=1) for i in range(q.ndim)
+        ])
+    den = den[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(den > 0, num / den, num)
+
+
+def _info_cells(snapshot: PolicySnapshot, rows: str, cols: str, act_prior) -> np.ndarray:
+    if cols not in ("states", "acts"):
+        raise ValueError("cols must be 'states' or 'acts'")
+    prior = snapshot.state_prior if cols == "states" else _act_prior(snapshot, act_prior)
+    cond = _row_conditionals(snapshot, rows, cols)
+    # cell by cell through pointwise_info: math.log2 and np.log2 differ in
+    # the last bit for some arguments, and table cells are math.log2 values
+    priors = np.broadcast_to(prior, cond.shape)
+    cells = map(pointwise_info, cond.ravel().tolist(), priors.ravel().tolist())
+    return np.fromiter(cells, dtype=float, count=cond.size).reshape(cond.shape)
 
 
 def info_vector(
     snapshot: PolicySnapshot, row: RowLabel, cols: str = "states", act_prior=None
 ) -> np.ndarray:
     """Pointwise information of one message (atomic or compound) per column."""
-    if cols not in ("states", "acts"):
-        raise ValueError("cols must be 'states' or 'acts'")
-    prior = snapshot.state_prior if cols == "states" else _act_prior(snapshot, act_prior)
-    cond = _conditional_for_row(snapshot, row, cols)
-    return np.array(
-        [pointwise_info(float(cond[i]), float(prior[i])) for i in range(len(prior))]
-    )
+    rows = "compound" if isinstance(row, tuple) else "atomic"
+    cells = _info_cells(snapshot, rows, cols, act_prior)
+    return cells[_row_labels(snapshot, rows).index(row)]
 
 
 def _row_labels(snapshot: PolicySnapshot, rows: str) -> list[RowLabel]:
@@ -303,52 +311,44 @@ def _col_labels(snapshot: PolicySnapshot, cols: str) -> list[str]:
 def info_table(
     snapshot: PolicySnapshot, rows: str = "atomic", cols: str = "states", act_prior=None
 ) -> InfoTable:
-    """Stack info vectors for all atomic messages or all compound signals."""
+    """Info vectors for all atomic messages or all compound signals."""
     labels = _row_labels(snapshot, rows)
-    cells = np.vstack(
-        [info_vector(snapshot, label, cols, act_prior) for label in labels]
-    )
-    display = [
-        signal_label(label) if isinstance(label, tuple) else str(label)
-        for label in labels
-    ]
+    display = [signal_label(label) if rows == "compound" else label for label in labels]
+    cells = _info_cells(snapshot, rows, cols, act_prior)
     return InfoTable(display, _col_labels(snapshot, cols), cells)
-
-
-def _replace_in_signal(sig: CompoundSignal, slot: int, symbol: str) -> CompoundSignal:
-    return tuple(symbol if i == slot else m for i, m in enumerate(sig))
 
 
 def compositional_conditionals(
     snapshot: PolicySnapshot, old_symbol: str, new_symbol: str
-) -> tuple[dict[CompoundSignal, np.ndarray], dict[CompoundSignal, float]]:
-    """Post-replacement act conditionals a compositional interpreter keeps.
+) -> PolicySnapshot:
+    """The post-replacement snapshot a compositional interpreter would hold.
 
-    Signals containing the new symbol inherit the conditional of their
-    remaining components, obtained by marginalizing the pre-replacement
-    receiver policy over the replaced slot.  Other signals are unchanged.
-    Returns the conditionals together with the post-replacement signal
-    marginal (the pre marginal with the symbol renamed).
+    Senders are unchanged up to the renaming.  Signals containing the new
+    symbol inherit the conditional of their remaining components: the
+    pre-replacement receiver conditionals averaged over the replaced slot,
+    weighted by how often each signal arrives.  Other signals keep theirs.
     """
     slot = snapshot.sender_of(old_symbol)
-    q_pre = snapshot.signal_marginal()
-    conditionals: dict[CompoundSignal, np.ndarray] = {}
-    q_post: dict[CompoundSignal, float] = {}
-    for sig, qp in q_pre.items():
-        post_sig = _replace_in_signal(sig, slot, new_symbol) if sig[slot] == old_symbol else sig
-        q_post[post_sig] = qp
-        if sig[slot] != old_symbol:
-            conditionals[post_sig] = snapshot.receiver_conditionals[sig]
-            continue
-        # marginalize over what the replaced slot might have said
-        num = np.zeros(snapshot.num_acts)
-        den = 0.0
-        for other, qo in q_pre.items():
-            if all(other[i] == sig[i] for i in range(len(sig)) if i != slot):
-                num += qo * snapshot.receiver_conditionals[other]
-                den += qo
-        conditionals[post_sig] = num / den if den > 0 else num
-    return conditionals, q_post
+    alphabet = snapshot.sender_alphabets[slot]
+    q = snapshot.joint().sum(axis=0)
+    rho = snapshot.act_tensor()
+    num = (q[..., None] * rho).sum(axis=slot)
+    den = q.sum(axis=slot)[..., None]
+    post = rho.copy()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        post[(slice(None),) * slot + (alphabet.index(old_symbol),)] = np.where(
+            den > 0, num / den, num
+        )
+    alphabets = list(snapshot.sender_alphabets)
+    alphabets[slot] = tuple(new_symbol if m == old_symbol else m for m in alphabet)
+    return PolicySnapshot(
+        state_prior=snapshot.state_prior,
+        sender_alphabets=tuple(alphabets),
+        sender_conditionals=snapshot.sender_conditionals,
+        receiver_conditionals=dict(
+            zip(itertools.product(*alphabets), post.reshape(-1, post.shape[-1]))
+        ),
+    )
 
 
 def compositional_expectation(
@@ -358,25 +358,8 @@ def compositional_expectation(
     replacing ``old_symbol`` by a fresh symbol."""
     if new_symbol is None:
         new_symbol = old_symbol + "?"
-    conditionals, _ = compositional_conditionals(snapshot, old_symbol, new_symbol)
-    prior = _act_prior(snapshot, act_prior)
-    labels = sorted(conditionals, key=lambda sig: tuple(str(m) for m in sig))
-    cells = np.vstack(
-        [
-            np.array(
-                [
-                    pointwise_info(float(conditionals[sig][i]), float(prior[i]))
-                    for i in range(len(prior))
-                ]
-            )
-            for sig in labels
-        ]
-    )
-    return InfoTable(
-        [signal_label(sig) for sig in labels],
-        _col_labels(snapshot, "acts"),
-        cells,
-    )
+    post = compositional_conditionals(snapshot, old_symbol, new_symbol)
+    return info_table(post, rows="compound", cols="acts", act_prior=act_prior)
 
 
 def compositional_expected_average(
@@ -385,10 +368,5 @@ def compositional_expected_average(
     """Average transmitted information under the compositional expectation."""
     if new_symbol is None:
         new_symbol = old_symbol + "?"
-    conditionals, q_post = compositional_conditionals(snapshot, old_symbol, new_symbol)
-    prior = _act_prior(snapshot, act_prior)
-    total = 0.0
-    for sig, qp in q_post.items():
-        if qp > ZERO_TOL:
-            total += qp * signal_info(conditionals[sig], prior)
-    return total
+    post = compositional_conditionals(snapshot, old_symbol, new_symbol)
+    return receiver_average_info(post, act_prior)

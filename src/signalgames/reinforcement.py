@@ -8,7 +8,7 @@ driven by a seeded ``numpy`` generator so runs are reproducible bit-for-bit.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Sequence
 
 import numpy as np
 
@@ -29,10 +29,12 @@ def make_rng(seed: int) -> np.random.Generator:
 class ReinforcementTable:
     """Map from context key to per-option accumulated weights.
 
-    Contexts are created lazily: the first query of an unknown key
-    materializes it with ``initial_weight`` for every option, so fresh
-    contexts behave uniformly.  Weights are plain floats; fractional values
-    are allowed (the information-preserving initialization needs them).
+    Contexts are created lazily: an unknown key reads as ``initial_weight``
+    for every option, so fresh contexts behave uniformly.  Only
+    :meth:`weights` (used to choose and to reinforce) stores it; reads
+    through :meth:`peek` and :meth:`distribution` leave the table unchanged.
+    Weights are plain floats; fractional values are allowed (the
+    information-preserving initialization needs them).
     """
 
     def __init__(self, options: Sequence[Hashable], initial_weight: float = 1.0):
@@ -53,9 +55,14 @@ class ReinforcementTable:
             self.entries[context] = row
         return row
 
+    def peek(self, context: Hashable) -> list[float]:
+        """Weight vector for a context, without materializing it if unseen."""
+        row = self.entries.get(context)
+        return [self.initial_weight] * len(self.options) if row is None else row
+
     def distribution(self, context: Hashable) -> list[float]:
         """Weights normalized to a probability vector (matching law)."""
-        row = self.weights(context)
+        row = self.peek(context)
         total = sum(row)
         if total <= 0.0:
             raise DegenerateContextError(f"all-zero weights for context {context!r}")
@@ -125,36 +132,9 @@ class ReinforcementTable:
         return table
 
 
-def proportional_distribution(table: ReinforcementTable, context: Hashable) -> list[float]:
-    """Module-level alias for :meth:`ReinforcementTable.distribution`."""
-    return table.distribution(context)
-
-
-def reinforce(
-    table: ReinforcementTable, context: Hashable, option: Hashable, amount: float
-) -> None:
-    table.reinforce(context, option, amount)
-
-
-def relabel(table: ReinforcementTable, old_symbol, new_symbol) -> None:
-    table.relabel(old_symbol, new_symbol)
-
-
-def sample(distribution: Iterable[float], rng: np.random.Generator) -> int:
-    """Draw an index with the given probabilities, consuming one draw."""
-    r = rng.random()
-    acc = 0.0
-    last = 0
-    for i, p in enumerate(distribution):
-        acc += p
-        last = i
-        if r < acc:
-            return i
-    return last  # guard against accumulated rounding
-
-
 def sample_weights(weights: Sequence[float], rng: np.random.Generator) -> int:
-    """Like :func:`sample` but over unnormalized non-negative weights."""
+    """Draw an index with probability proportional to its weight, consuming
+    one draw; the last index absorbs accumulated rounding."""
     total = sum(weights)
     if total <= 0.0:
         raise DegenerateContextError("cannot sample from all-zero weights")

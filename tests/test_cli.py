@@ -97,6 +97,53 @@ def test_parse_atomic_game(tmp_path):
     assert exp.trajectory.spec.num_states == 3
 
 
+BAD_EVENTS = {
+    "same-turn": [
+        {"turn": 200, "sender": 1, "old": "mB0", "new": "mB?"},
+        {"turn": 200, "sender": 0, "old": "mA0", "new": "mA?"},
+    ],
+    "bad-sender": [
+        {"turn": 100, "sender": 0, "old": "mA0", "new": "mA?"},
+        {"turn": 200, "sender": 5, "old": "mB0", "new": "mB?"},
+    ],
+    "old-not-live": [
+        {"turn": 100, "sender": 1, "old": "mB0", "new": "mB?"},
+        {"turn": 200, "sender": 1, "old": "mB0", "new": "mBx"},
+    ],
+    "new-in-use": [
+        {"turn": 100, "sender": 0, "old": "mA0", "new": "mA?"},
+        {"turn": 200, "sender": 1, "old": "mB0", "new": "mA?"},
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_EVENTS))
+def test_run_rejects_bad_event(tmp_path, capsys, case):
+    path = write_config(tmp_path, [tiny_experiment(events=BAD_EVENTS[case])])
+    out = tmp_path / "out"
+    assert main(["--config", str(path), "--out", str(out)]) == EXIT_CONFIG_ERROR
+    assert "experiments[0].events[1]:" in capsys.readouterr().err
+    assert not out.exists()  # rejected before the first turn
+
+
+@pytest.mark.parametrize(
+    "overrides, key_path",
+    [
+        ({"temperature": "hot"}, "experiments[0].temperature"),
+        ({"seed": "a"}, "experiments[0].seed"),
+        (
+            {"events": [{"turn": "5", "sender": 1, "old": "mB0", "new": "mB?"}]},
+            "experiments[0].events[0].turn",
+        ),
+    ],
+    ids=["temperature", "seed", "event-turn"],
+)
+def test_run_rejects_wrongly_typed_field(tmp_path, capsys, overrides, key_path):
+    path = write_config(tmp_path, [tiny_experiment(**overrides)])
+    assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG_ERROR
+    assert f"{key_path}: must be" in capsys.readouterr().err
+
+
 # -- run command ------------------------------------------------------------
 
 
@@ -167,7 +214,11 @@ def test_policy_round_trip(tmp_path):
     policy = dump_tiny_policy(tmp_path, total_turns=500)
     spec, snapshot, senders, receiver = load_policy(policy)
     assert spec.num_states == 4
-    assert snapshot.validate() == []
+    assert abs(snapshot.state_prior.sum() - 1.0) < 1e-9
+    for matrix in snapshot.sender_conditionals:
+        assert abs(matrix.sum(axis=1) - 1.0).max() < 1e-9
+    for row in snapshot.receiver_conditionals.values():
+        assert abs(row.sum() - 1.0) < 1e-9
 
 
 def test_audit_converged_conventional_flags(tmp_path, capsys):

@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from signalgames.engine import (
+    EventError,
     ReplacementEvent,
     TrajectoryConfig,
     build_agents,
@@ -133,3 +136,80 @@ def test_generalist_event_mid_run():
     assert "mB?" in trajectory.receiver.symbol_sender
     post = trajectory.event_snapshots[(300, "post")]
     assert ("mA0", "mB?") in post.receiver_conditionals
+
+
+# -- reads are pure ---------------------------------------------------------
+
+
+def policy_state(senders, receiver):
+    return json.dumps(
+        [s.to_json_dict() for s in senders] + [receiver.to_json_dict()], sort_keys=True
+    )
+
+
+def urn_entries(senders, receiver):
+    table = receiver.act_counts if hasattr(receiver, "act_counts") else receiver.table
+    return [len(s.table.entries) for s in senders] + [len(table.entries)]
+
+
+@pytest.mark.parametrize(
+    "receiver",
+    [
+        dict(receiver_kind="conventional"),
+        dict(receiver_kind="minimalist"),
+        dict(receiver_kind="generalist", introduction_mode="erasing"),
+        dict(receiver_kind="generalist", introduction_mode="preserving"),
+    ],
+)
+def test_snapshot_leaves_policies_unchanged(receiver):
+    fresh_senders, fresh_receiver = build_agents(small_config(**receiver))
+    event = ReplacementEvent(300, 1, "mB0", "mB?")
+    trained = run(small_config(total_turns=300, events=(event,), **receiver))
+    for senders, receiver_agent in (
+        (fresh_senders, fresh_receiver),
+        (trained.senders, trained.receiver),
+    ):
+        before = policy_state(senders, receiver_agent)
+        entries = urn_entries(senders, receiver_agent)
+        take_snapshot(GAME, senders, receiver_agent)
+        assert urn_entries(senders, receiver_agent) == entries
+        assert policy_state(senders, receiver_agent) == before
+    assert urn_entries(fresh_senders, fresh_receiver) == [0, 0, 0]
+
+
+# -- events are checked before the first turn -------------------------------
+
+
+@pytest.mark.parametrize(
+    "events, index",
+    [
+        # two events on one turn: one of them used to be dropped silently
+        ((ReplacementEvent(100, 1, "mB0", "mB?"), ReplacementEvent(100, 0, "mA0", "mA?")), 1),
+        ((ReplacementEvent(100, 2, "mB0", "mB?"),), 0),  # no sender 2
+        ((ReplacementEvent(100, 0, "mB0", "mB?"),), 0),  # mB0 belongs to sender 1
+        # mB0 was already renamed at turn 100 (events are replayed in turn order)
+        ((ReplacementEvent(200, 1, "mB0", "mBx"), ReplacementEvent(100, 1, "mB0", "mB?")), 0),
+        ((ReplacementEvent(100, 1, "mB0", "mA1"),), 0),  # live symbol of sender 0
+        # a retired symbol is not fresh either
+        ((ReplacementEvent(100, 1, "mB0", "mB?"), ReplacementEvent(200, 1, "mB?", "mB0")), 1),
+    ],
+    ids=["same-turn", "bad-sender", "wrong-sender", "old-renamed", "new-in-use", "new-retired"],
+)
+def test_config_rejects_bad_events(events, index):
+    config = small_config(events=events)
+    with pytest.raises(EventError) as err:
+        config.check()
+    assert err.value.index == index
+    with pytest.raises(EventError):
+        run(config)
+
+
+def test_config_accepts_chained_events():
+    events = (
+        ReplacementEvent(200, 1, "mB?", "mB!"),
+        ReplacementEvent(100, 1, "mB0", "mB?"),
+        ReplacementEvent(150, 0, "mA1", "mA?"),
+    )
+    trajectory = run(small_config(total_turns=300, events=events))
+    assert trajectory.senders[1].alphabet == ["mB!", "mB1"]
+    assert trajectory.senders[0].alphabet == ["mA0", "mA?"]

@@ -8,7 +8,6 @@ from signalgames.game import (
     make_two_sender_game,
     signal_label,
     validate,
-    validate_signal,
 )
 
 
@@ -35,22 +34,6 @@ def test_two_sender_game_shape():
     assert game.sender_alphabets == (("mA0", "mA1"), ("mB0", "mB1"))
     assert game.num_senders == 2
     assert validate(game) == []
-    assert len(game.signals()) == 4
-    assert ("mA0", "mB0") in game.signals()
-
-
-def test_optimal_act_identity():
-    game = make_two_sender_game()
-    for s in range(4):
-        assert game.optimal_act(s) == s
-
-
-def test_sender_of():
-    game = make_two_sender_game()
-    assert game.sender_of("mA1") == 0
-    assert game.sender_of("mB0") == 1
-    with pytest.raises(KeyError):
-        game.sender_of("nope")
 
 
 def test_validate_flags_problems():
@@ -78,15 +61,6 @@ def test_json_round_trip():
     game = make_two_sender_game()
     copy = GameSpec.from_json_dict(game.to_json_dict())
     assert copy == game
-
-
-def test_validate_signal():
-    game = make_two_sender_game()
-    validate_signal(game.sender_alphabets, ("mA0", "mB1"))
-    with pytest.raises(ValueError):
-        validate_signal(game.sender_alphabets, ("mB1", "mA0"))  # wrong slots
-    with pytest.raises(ValueError):
-        validate_signal(game.sender_alphabets, ("mA0",))  # wrong arity
 
 
 def test_signal_label():

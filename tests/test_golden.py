@@ -8,11 +8,14 @@ choice unchanged.  A change that must move a digest says so and why.
 
 import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from signalgames import cli, engine
+from signalgames.game import make_two_sender_game
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -31,6 +34,15 @@ RUNS_CSV_DIGESTS = {
     "minimalist": "7d4b3ba911fa2941c9125b710c6363da87121f7af138bce8e6ee51c3130b81af",
     "generalist_erasing": "b304063fe3c9983023f5cdf73f8b8fd4e1559fa9507749659ba8dc0494dd0e23",
     "generalist_preserving": "4c1010602625f8f98206f707a9bad03ddd3c8ab9fbbab383f3fb2451ffa78dbd",
+}
+
+# SHA-256 of float.hex() of every report's payoff, sender and receiver info
+# in the runs above: the metrics bit for bit, beyond the CSVs' 12 digits.
+REPORT_BITS_DIGESTS = {
+    "conventional": "44c77a58a4770d433559865576dbf8258bc6a77718d8405d011a238cbf1a0743",
+    "minimalist": "95b27aa666c53999fcec54acdbd326fb088a9021bba80432bd3cab57e43c16cf",
+    "generalist_erasing": "44c77a58a4770d433559865576dbf8258bc6a77718d8405d011a238cbf1a0743",
+    "generalist_preserving": "edc652830e068f70321fa4427679c314f999645c6b439feaa6146586b5fca7ba",
 }
 
 # SHA-256 of the "state,signal,act" lines of one 5,000-turn run, event at
@@ -60,7 +72,7 @@ def scaled_config(tmp_path, kind, turns, runs, snapshot_every):
     return path
 
 
-def choice_digest(monkeypatch, config) -> str:
+def choice_digest(config) -> str:
     """SHA-256 of the per-turn choices of ``engine.run(config)``."""
     hasher = hashlib.sha256()
     step = engine.step
@@ -70,9 +82,11 @@ def choice_digest(monkeypatch, config) -> str:
         hasher.update(f"{state},{'|'.join(signal)},{act}\n".encode())
         return state, signal, act, reward
 
-    with monkeypatch.context() as patch:
-        patch.setattr(engine, "step", hashing_step)
+    engine.step = hashing_step
+    try:
         engine.run(config)
+    finally:
+        engine.step = step
     return hasher.hexdigest()
 
 
@@ -86,7 +100,48 @@ def test_runs_csv_digest(tmp_path, kind):
 
 
 @pytest.mark.parametrize("kind", sorted(FIGURE_CONFIGS))
-def test_choice_sequence_digest(tmp_path, kind, monkeypatch):
+def test_report_bits_digest(tmp_path, kind):
+    path = scaled_config(tmp_path, kind, turns=2_000, runs=2, snapshot_every=100)
+    (experiment,) = cli.parse_config(path)
+    batch = engine.run_batch(experiment.trajectory, experiment.num_runs)
+    hasher = hashlib.sha256()
+    for trajectory in batch.trajectories:
+        for r in trajectory.reports:
+            values = (r.expected_payoff, r.sender_info_bits, r.receiver_info_bits)
+            hasher.update(",".join(map(float.hex, values)).encode() + b"\n")
+    assert hasher.hexdigest() == REPORT_BITS_DIGESTS[kind]
+
+
+@pytest.mark.parametrize("kind", sorted(FIGURE_CONFIGS))
+def test_choice_sequence_digest(tmp_path, kind):
     path = scaled_config(tmp_path, kind, turns=5_000, runs=1, snapshot_every=5_000)
     (experiment,) = cli.parse_config(path)
-    assert choice_digest(monkeypatch, experiment.trajectory) == CHOICE_DIGESTS[kind]
+    assert choice_digest(experiment.trajectory) == CHOICE_DIGESTS[kind]
+
+
+RECEIVERS = (
+    dict(receiver_kind="conventional"),
+    dict(receiver_kind="minimalist", temperature=2000.0),
+    dict(receiver_kind="generalist", introduction_mode="erasing"),
+    dict(receiver_kind="generalist", introduction_mode="preserving"),
+)
+
+
+@settings(max_examples=24, deadline=None)
+@given(
+    receiver=st.sampled_from(RECEIVERS),
+    seed=st.integers(0, 2**16),
+    snapshot_every=st.integers(1, 60),
+)
+def test_choices_do_not_depend_on_snapshots(receiver, seed, snapshot_every):
+    # reading a policy never changes it, so observing more often changes nothing
+    config = engine.TrajectoryConfig(
+        spec=make_two_sender_game(),
+        total_turns=240,
+        events=(engine.ReplacementEvent(120, 1, "mB0", "mB?"),),
+        snapshot_every=240,
+        seed=seed,
+        **receiver,
+    )
+    sparse = choice_digest(config)
+    assert choice_digest(replace(config, snapshot_every=snapshot_every)) == sparse

@@ -122,7 +122,19 @@ def test_snapshot_marginal_and_posterior():
         assert abs(q[sig] - 0.25) < 1e-9
         post = snap.state_posterior(sig)
         assert abs(post[state] - 1.0) < 1e-9
-    assert snap.validate() == []
+    assert abs(snap.state_prior.sum() - 1.0) < 1e-9
+    for matrix in snap.sender_conditionals:
+        assert np.allclose(matrix.sum(axis=1), 1.0, atol=1e-9)
+    for row in snap.receiver_conditionals.values():
+        assert abs(row.sum() - 1.0) < 1e-9
+
+
+def test_snapshot_sender_of():
+    snap = take_snapshot(GAME, [Sender(GAME, 0), Sender(GAME, 1)], ConventionalReceiver(GAME))
+    assert snap.sender_of("mA1") == 0
+    assert snap.sender_of("mB0") == 1
+    with pytest.raises(KeyError):
+        snap.sender_of("nope")
 
 
 def test_induced_act_prior_converged_is_uniform():

@@ -36,12 +36,8 @@ def random_snapshot(spec, rng):
 
 
 def state_signal_joint(snap):
-    sigs = snap.signals()
-    joint = np.zeros((snap.num_states, len(sigs)))
-    for s in range(snap.num_states):
-        for j, sig in enumerate(sigs):
-            joint[s, j] = snap.state_prior[s] * snap.signal_prob_given_state(sig, s)
-    return joint
+    """P(state, signal) as a matrix, signals in ``snap.signals()`` order."""
+    return snap.joint().reshape(snap.num_states, -1)
 
 
 @pytest.mark.parametrize("make_game", [make_two_sender_game, lambda: make_atomic_game(2)])

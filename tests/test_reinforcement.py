@@ -8,8 +8,6 @@ from signalgames.reinforcement import (
     ReinforcementTable,
     SymbolCollisionError,
     make_rng,
-    proportional_distribution,
-    sample,
     sample_weights,
 )
 
@@ -45,8 +43,8 @@ def test_distribution_scale_invariance():
         for i, w in enumerate(weights):
             t1.reinforce("c", i, float(w))
             t2.reinforce("c", i, float(w * scale))
-        d1 = np.array(proportional_distribution(t1, "c"))
-        d2 = np.array(proportional_distribution(t2, "c"))
+        d1 = np.array(t1.distribution("c"))
+        d2 = np.array(t2.distribution("c"))
         assert np.max(np.abs(d1 - d2)) < 1e-12
 
 
@@ -106,7 +104,7 @@ def test_sample_matches_distribution():
     counts = [0, 0, 0]
     n = 20000
     for _ in range(n):
-        counts[sample(dist, rng)] += 1
+        counts[sample_weights(dist, rng)] += 1
     freqs = [c / n for c in counts]
     assert all(abs(f - p) < 0.02 for f, p in zip(freqs, dist))
 
@@ -130,6 +128,6 @@ def test_sample_guard_on_rounding():
     # probabilities summing to slightly under 1 still return a valid index
     rng = make_rng(1)
     for _ in range(1000):
-        idx = sample([0.3, 0.3, 0.3999999999], rng)
+        idx = sample_weights([0.3, 0.3, 0.3999999999], rng)
         assert 0 <= idx <= 2
     assert math.isclose(sum([0.3, 0.3, 0.3999999999]), 1.0, abs_tol=1e-9)

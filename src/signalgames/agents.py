@@ -20,6 +20,8 @@ from .game import CompoundSignal, GameSpec
 from .reinforcement import (
     ReinforcementTable,
     SymbolCollisionError,
+    items_from_json,
+    items_to_json,
     sample_weights,
 )
 
@@ -41,16 +43,20 @@ class Sender:
 
     def __init__(self, spec: GameSpec, sender_index: int, initial_weight: float = 1.0):
         self.sender_index = sender_index
-        self.alphabet = list(spec.sender_alphabets[sender_index])
         self.num_states = spec.num_states
-        self.table = ReinforcementTable(list(self.alphabet), initial_weight)
+        self.table = ReinforcementTable(list(spec.sender_alphabets[sender_index]), initial_weight)
+
+    @property
+    def alphabet(self) -> list[str]:
+        """The live symbols: the table's options, renamed by replacements."""
+        return self.table.options
 
     def distribution(self, state: int) -> list[float]:
         return self.table.distribution(state)
 
     def choose(self, state: int, rng: np.random.Generator) -> str:
         idx = sample_weights(self.table.weights(state), rng)
-        return self.alphabet[idx]
+        return self.table.options[idx]
 
     def reinforce(self, state: int, symbol: str, reward: float) -> None:
         self.table.reinforce(state, symbol, reward)
@@ -62,7 +68,6 @@ class Sender:
         if new_symbol in self.alphabet:
             raise SymbolCollisionError(f"{new_symbol!r} already in alphabet")
         self.table.relabel(old_symbol, new_symbol)
-        self.alphabet = [new_symbol if m == old_symbol else m for m in self.alphabet]
 
     def conditional_matrix(self) -> np.ndarray:
         """Row per state: probability of each symbol, in alphabet order."""
@@ -70,23 +75,38 @@ class Sender:
         return np.asarray(rows, dtype=float)
 
     def to_json_dict(self) -> dict:
-        return {
-            "sender_index": self.sender_index,
-            "alphabet": list(self.alphabet),
-            "num_states": self.num_states,
-            "table": self.table.to_json_dict(),
-        }
+        return {"sender_index": self.sender_index, "table": self.table.to_json_dict()}
 
     @classmethod
     def from_json_dict(cls, spec: GameSpec, data: dict) -> "Sender":
-        sender = cls(spec, int(data["sender_index"]))
-        sender.alphabet = [str(m) for m in data["alphabet"]]
-        sender.num_states = int(data["num_states"])
+        sender = cls(spec, data["sender_index"])
         sender.table = ReinforcementTable.from_json_dict(data["table"])
         return sender
 
 
-class ConventionalReceiver:
+class Receiver:
+    """What the receivers share: a ``kind`` and the policy-file codec.
+
+    The receivers differ only in how they map a signal to urn contexts and
+    how they read act scores out of them.  A policy file records the kind,
+    the constructor settings named in ``params``, the dicts named in
+    ``state`` and the act urns ``table``; everything else comes from the
+    game spec.  :func:`receiver_from_json_dict` reads it back.
+    """
+
+    kind: str
+    params: tuple[str, ...] = ()
+    state: tuple[str, ...] = ()
+    table: ReinforcementTable
+
+    def to_json_dict(self) -> dict:
+        data = {name: getattr(self, name) for name in self.params}
+        data.update((name, items_to_json(getattr(self, name))) for name in self.state)
+        data.update(kind=self.kind, table=self.table.to_json_dict())
+        return data
+
+
+class ConventionalReceiver(Receiver):
     """Act urns keyed by the full compound signal, one per seen conjunction.
 
     Reinforcing one compound key never changes any other key: this is the
@@ -117,17 +137,8 @@ class ConventionalReceiver:
         # lazily at uniform, so signals containing it carry no information.
         pass
 
-    def to_json_dict(self) -> dict:
-        return {"kind": self.kind, "table": self.table.to_json_dict()}
 
-    @classmethod
-    def from_json_dict(cls, spec: GameSpec, data: dict) -> "ConventionalReceiver":
-        receiver = cls(spec)
-        receiver.table = ReinforcementTable.from_json_dict(data["table"])
-        return receiver
-
-
-class MinimalistReceiver:
+class MinimalistReceiver(Receiver):
     """Act urns keyed by atomic message; acts picked by tempered softmax.
 
     Scores for a compound signal are the summed reinforcements of its atomic
@@ -137,6 +148,7 @@ class MinimalistReceiver:
     """
 
     kind = "minimalist"
+    params = ("temperature", "normalized")
 
     def __init__(
         self,
@@ -145,8 +157,8 @@ class MinimalistReceiver:
         normalized: bool = False,
         initial_weight: float = 1.0,
     ):
-        if temperature <= 0:
-            raise ValueError("temperature must be positive")
+        if not temperature > 0:
+            raise ValueError(f"temperature must be positive, not {temperature!r}")
         self.num_acts = spec.num_acts
         self.temperature = float(temperature)
         self.normalized = bool(normalized)
@@ -193,20 +205,6 @@ class MinimalistReceiver:
         # The urn for the new symbol is created lazily on first receipt.
         pass
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "temperature": self.temperature,
-            "normalized": self.normalized,
-            "table": self.table.to_json_dict(),
-        }
-
-    @classmethod
-    def from_json_dict(cls, spec: GameSpec, data: dict) -> "MinimalistReceiver":
-        receiver = cls(spec, float(data["temperature"]), bool(data["normalized"]))
-        receiver.table = ReinforcementTable.from_json_dict(data["table"])
-        return receiver
-
 
 def _subcombinations(signal: CompoundSignal) -> list[frozenset]:
     """Non-empty subsets of the signal's present slots, smallest first."""
@@ -217,17 +215,19 @@ def _subcombinations(signal: CompoundSignal) -> list[frozenset]:
     return combos
 
 
-class GeneralistReceiver:
+class GeneralistReceiver(Receiver):
     """Joint reinforcement over every sub-combination of the received signal.
 
     ``combo_counts`` tracks how often each message combination arrives
-    (updated every turn); ``act_counts`` tracks which acts get rewarded for
-    each combination (updated on rewarded turns only).  Action selection
+    (updated every turn); ``table`` tracks which acts get rewarded for each
+    combination (updated on rewarded turns only).  Action selection
     conditions on the full combination, exactly as the conventional model,
     so the extra bookkeeping never slows coordination.
     """
 
     kind = "generalist"
+    params = ("introduction_mode", "alpha")
+    state = ("symbol_sender", "combo_counts")
 
     def __init__(
         self,
@@ -238,22 +238,26 @@ class GeneralistReceiver:
     ):
         if introduction_mode not in ("erasing", "preserving"):
             raise ValueError(f"unknown introduction mode {introduction_mode!r}")
+        if not alpha > 0:
+            raise ValueError(f"alpha must be positive, not {alpha!r}")
         self.num_acts = spec.num_acts
         self.num_senders = spec.num_senders
         self.introduction_mode = introduction_mode
         self.alpha = float(alpha)
-        self.initial_weight = float(initial_weight)
         # symbol -> sender index; replacement adds the minted symbol here
         self.symbol_sender: dict[str, int] = {
             m: i for i, alphabet in enumerate(spec.sender_alphabets) for m in alphabet
         }
         self.combo_counts: dict[frozenset, float] = {}
-        self.act_counts = ReinforcementTable(
-            list(range(spec.num_acts)), initial_weight
-        )
+        self.table = ReinforcementTable(list(range(spec.num_acts)), initial_weight)
+
+    @property
+    def act_counts(self) -> ReinforcementTable:
+        """The act urns under their former name."""
+        return self.table
 
     def _combo_count(self, combo: frozenset) -> float:
-        return self.combo_counts.get(combo, self.initial_weight)
+        return self.combo_counts.get(combo, self.table.initial_weight)
 
     def observe(self, signal: CompoundSignal) -> None:
         """Count the arrival of every sub-combination of the signal."""
@@ -264,148 +268,86 @@ class GeneralistReceiver:
 
     def act_distribution(self, signal: CompoundSignal) -> list[float]:
         full = frozenset(m for m in signal if m is not None)
-        return self.act_counts.distribution(full)
+        return self.table.distribution(full)
 
     def choose(self, signal: CompoundSignal, rng: np.random.Generator) -> int:
         full = frozenset(m for m in signal if m is not None)
-        return sample_weights(self.act_counts.weights(full), rng)
+        return sample_weights(self.table.weights(full), rng)
 
     def reinforce(self, signal: CompoundSignal, act: int, reward: float) -> None:
         """On reward, add an act ball to every sub-combination's urn."""
         if not reward:
             return
         for combo in _subcombinations(signal):
-            self.act_counts.reinforce(combo, act, reward)
+            self.table.reinforce(combo, act, reward)
 
     def introduce_message(self, new_symbol: str, sender_index: int) -> None:
-        """Initialize urns for a freshly minted symbol.
+        """Register a freshly minted symbol and initialize its urns.
 
-        Erasing mode starts every combination containing the new symbol at
-        the initial weight, so those signals are uninformative.  Preserving
-        mode copies ``alpha`` times the counts of each existing combination
-        into its extension by the new symbol, so conditioning on the new
-        symbol changes nothing: the other components keep their meaning.
+        Erasing mode stores nothing: every combination containing the new
+        symbol is unseen, so it reads as the initial weight and those signals
+        are uninformative.  Preserving mode copies ``alpha`` times the counts
+        of each existing combination into its extension by the new symbol,
+        so conditioning on the new symbol changes nothing: the other
+        components keep their meaning.
         """
         if new_symbol in self.symbol_sender:
             raise SymbolCollisionError(f"{new_symbol!r} already known")
         self.symbol_sender[new_symbol] = sender_index
-        same_sender = [
-            m for m, i in self.symbol_sender.items()
-            if i == sender_index and m != new_symbol
-        ]
-        if self.introduction_mode == "erasing":
-            self._introduce_erasing(new_symbol, sender_index)
-        else:
-            self._introduce_preserving(new_symbol, sender_index, same_sender)
+        if self.introduction_mode == "preserving":
+            self._introduce_preserving(new_symbol, sender_index)
 
-    def _extendable_combos(self, sender_index: int) -> list[frozenset]:
-        """Existing combos that a new symbol of this sender can extend."""
-        seen = set(self.combo_counts) | set(self.act_counts.entries)
-        return [
-            combo
-            for combo in seen
-            if len(combo) < self.num_senders
-            and not any(self.symbol_sender.get(m) == sender_index for m in combo)
-        ]
-
-    def _introduce_erasing(self, new_symbol: str, sender_index: int) -> None:
-        w = self.initial_weight
-        singleton = frozenset([new_symbol])
-        self.combo_counts[singleton] = w
-        self.act_counts.entries[singleton] = [w] * self.num_acts
-        for combo in self._extendable_combos(sender_index):
-            extended = combo | {new_symbol}
-            self.combo_counts[extended] = w
-            self.act_counts.entries[extended] = [w] * self.num_acts
-
-    def _introduce_preserving(
-        self, new_symbol: str, sender_index: int, same_sender: list[str]
-    ) -> None:
+    def _introduce_preserving(self, new_symbol: str, sender_index: int) -> None:
         a = self.alpha
-        for combo in self._extendable_combos(sender_index):
-            extended = combo | {new_symbol}
-            self.combo_counts[extended] = a * self._combo_count(combo)
-            self.act_counts.entries[extended] = [
-                a * w for w in self.act_counts.weights(combo)
-            ]
+        seen = set(self.combo_counts) | set(self.table.entries)
+        for combo in seen:
+            # only combinations the new symbol can extend: none of its sender
+            if len(combo) < self.num_senders and not any(
+                self.symbol_sender.get(m) == sender_index for m in combo
+            ):
+                extended = combo | {new_symbol}
+                self.combo_counts[extended] = a * self._combo_count(combo)
+                self.table.entries[extended] = [a * w for w in self.table.weights(combo)]
         # Singleton: sum over the same sender's symbols, so that conditioning
         # on the new symbol alone reproduces the marginal act distribution.
+        same_sender = [
+            m for m, i in self.symbol_sender.items() if i == sender_index and m != new_symbol
+        ]
         singleton = frozenset([new_symbol])
         self.combo_counts[singleton] = a * sum(
             self._combo_count(frozenset([m])) for m in same_sender
         )
         marginal = [0.0] * self.num_acts
         for m in same_sender:
-            row = self.act_counts.weights(frozenset([m]))
+            row = self.table.weights(frozenset([m]))
             for i in range(self.num_acts):
                 marginal[i] += row[i]
-        self.act_counts.entries[singleton] = [a * w for w in marginal]
+        self.table.entries[singleton] = [a * w for w in marginal]
 
     def on_replacement(self, old_symbol: str, new_symbol: str) -> None:
         self.introduce_message(new_symbol, self.symbol_sender[old_symbol])
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "introduction_mode": self.introduction_mode,
-            "alpha": self.alpha,
-            "initial_weight": self.initial_weight,
-            "num_senders": self.num_senders,
-            "symbol_sender": dict(sorted(self.symbol_sender.items())),
-            "combo_counts": [
-                {"combo": sorted(c), "count": n}
-                for c, n in sorted(self.combo_counts.items(), key=lambda kv: sorted(kv[0]))
-            ],
-            "act_counts": self.act_counts.to_json_dict(),
-        }
 
-    @classmethod
-    def from_json_dict(cls, spec: GameSpec, data: dict) -> "GeneralistReceiver":
-        receiver = cls(
-            spec,
-            introduction_mode=str(data["introduction_mode"]),
-            alpha=float(data["alpha"]),
-            initial_weight=float(data["initial_weight"]),
-        )
-        receiver.num_senders = int(data["num_senders"])
-        receiver.symbol_sender = {
-            str(k): int(v) for k, v in data["symbol_sender"].items()
-        }
-        receiver.combo_counts = {
-            frozenset(str(m) for m in entry["combo"]): float(entry["count"])
-            for entry in data["combo_counts"]
-        }
-        receiver.act_counts = ReinforcementTable.from_json_dict(data["act_counts"])
-        return receiver
+RECEIVERS: dict[str, type[Receiver]] = {
+    cls.kind: cls for cls in (ConventionalReceiver, MinimalistReceiver, GeneralistReceiver)
+}
 
 
-Receiver = ConventionalReceiver | MinimalistReceiver | GeneralistReceiver
+def make_receiver(spec: GameSpec, kind: str, /, **settings) -> Receiver:
+    """A ``kind`` receiver built from those ``settings`` its constructor takes.
 
-
-def make_receiver(
-    spec: GameSpec,
-    kind: str,
-    temperature: float = 2000.0,
-    normalized: bool = False,
-    introduction_mode: str = "erasing",
-    alpha: float = 1.0,
-) -> Receiver:
-    if kind == "conventional":
-        return ConventionalReceiver(spec)
-    if kind == "minimalist":
-        return MinimalistReceiver(spec, temperature, normalized)
-    if kind == "generalist":
-        return GeneralistReceiver(spec, introduction_mode, alpha)
-    raise ValueError(f"unknown receiver kind {kind!r}")
+    Settings of other kinds are ignored, so one set serves every kind.
+    """
+    if kind not in RECEIVERS:
+        raise ValueError(f"unknown receiver kind {kind!r}")
+    cls = RECEIVERS[kind]
+    return cls(spec, **{name: settings[name] for name in cls.params if name in settings})
 
 
 def receiver_from_json_dict(spec: GameSpec, data: dict) -> Receiver:
-    kind = data["kind"]
-    classes = {
-        "conventional": ConventionalReceiver,
-        "minimalist": MinimalistReceiver,
-        "generalist": GeneralistReceiver,
-    }
-    if kind not in classes:
-        raise ValueError(f"unknown receiver kind {kind!r}")
-    return classes[kind].from_json_dict(spec, data)
+    """The receiver that ``Receiver.to_json_dict`` wrote as ``data``."""
+    receiver = make_receiver(spec, data["kind"], **data)
+    for name in receiver.state:
+        setattr(receiver, name, items_from_json(data[name]))
+    receiver.table = ReinforcementTable.from_json_dict(data["table"])
+    return receiver

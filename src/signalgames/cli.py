@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -61,22 +62,25 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 # config parsing
 
-_EXPERIMENT_KEYS = {
-    "name",
-    "comment",
-    "game",
-    "receiver",
-    "temperature",
-    "normalized_scores",
-    "introduction_mode",
-    "alpha",
-    "total_turns",
-    "snapshot_every",
-    "num_runs",
-    "seed",
-    "events",
-    "plot",
+# JSON key -> (field, JSON type) for the TrajectoryConfig and ExperimentConfig
+# fields a config may set; a key that is absent takes the field's default
+_TRAJECTORY_FIELDS = {
+    "receiver": ("receiver_kind", "a string"),
+    "temperature": ("temperature", "a finite number"),
+    "normalized_scores": ("normalized_scores", "a boolean"),
+    "introduction_mode": ("introduction_mode", "a string"),
+    "alpha": ("alpha", "a finite number"),
+    "total_turns": ("total_turns", "an integer"),
+    "events": ("events", "a list"),
+    "snapshot_every": ("snapshot_every", "an integer"),
+    "seed": ("seed", "an integer"),
 }
+_EXPERIMENT_FIELDS = {
+    "num_runs": ("num_runs", "an integer"),
+    "plot": ("plot", "a boolean"),
+    "comment": ("comment", "a string"),
+}
+_EXPERIMENT_KEYS = {"name", "game"} | set(_TRAJECTORY_FIELDS) | set(_EXPERIMENT_FIELDS)
 _EVENT_KEYS = {"turn", "sender", "old", "new"}
 
 
@@ -92,20 +96,32 @@ def _reject_unknown(unknown: set, where: str) -> None:
 
 _TYPES = {
     "an integer": int,
-    "a number": (int, float),
+    "a finite number": (int, float),
     "a boolean": bool,
     "a string": str,
     "a list": list,
 }
 
 
-def _field(data: dict, key: str, default, kind: str, where: str):
-    """``data[key]`` (``default`` if absent), which must be of ``kind``."""
-    value = data.get(key, default)
+def _field(data: dict, key: str, kind: str, where: str):
+    """``data[key]``, which must be of ``kind``; numbers come back as floats."""
+    value = data[key]
     is_bool = isinstance(value, bool)
     ok = isinstance(value, _TYPES[kind]) and (is_bool == (kind == "a boolean"))
+    if ok and kind == "a finite number":
+        value = float(value)  # json reads NaN and Infinity as floats
+        ok = math.isfinite(value)
     _require(ok, f"{where}.{key}", f"must be {kind}, not {json.dumps(value)}")
     return value
+
+
+def _fields(data: dict, fields: dict, where: str) -> dict:
+    """The keys of ``fields`` present in ``data``, checked, by field name."""
+    return {
+        name: _field(data, key, kind, where)
+        for key, (name, kind) in fields.items()
+        if key in data
+    }
 
 
 def _parse_game(value, where: str) -> GameSpec:
@@ -132,10 +148,10 @@ def _parse_event(data, where: str) -> ReplacementEvent:
     for key in sorted(_EVENT_KEYS):
         _require(key in data, where, f"missing key {key!r}")
     return ReplacementEvent(
-        turn=_field(data, "turn", None, "an integer", where),
-        sender_index=_field(data, "sender", None, "an integer", where),
-        old_symbol=_field(data, "old", None, "a string", where),
-        new_symbol=_field(data, "new", None, "a string", where),
+        turn=_field(data, "turn", "an integer", where),
+        sender_index=_field(data, "sender", "an integer", where),
+        old_symbol=_field(data, "old", "a string", where),
+        new_symbol=_field(data, "new", "a string", where),
     )
 
 
@@ -147,44 +163,21 @@ def _parse_experiment(data, where: str) -> ExperimentConfig:
     _require(isinstance(name, str) and name != "", where, "name must be a non-empty string")
 
     spec = _parse_game(data.get("game"), f"{where}.game")
-    events = tuple(
-        _parse_event(e, f"{where}.events[{i}]")
-        for i, e in enumerate(_field(data, "events", [], "a list", where))
-    )
-    trajectory = TrajectoryConfig(
-        spec=spec,
-        receiver_kind=_field(data, "receiver", "conventional", "a string", where),
-        temperature=float(_field(data, "temperature", 2000.0, "a number", where)),
-        normalized_scores=_field(data, "normalized_scores", False, "a boolean", where),
-        introduction_mode=_field(data, "introduction_mode", "erasing", "a string", where),
-        alpha=float(_field(data, "alpha", 1.0, "a number", where)),
-        total_turns=_field(data, "total_turns", 100_000, "an integer", where),
-        events=events,
-        snapshot_every=_field(data, "snapshot_every", 100, "an integer", where),
-        seed=_field(data, "seed", 0, "an integer", where),
-    )
-    _require(
-        trajectory.receiver_kind in ("conventional", "minimalist", "generalist"),
-        f"{where}.receiver",
-        f"unknown receiver kind {trajectory.receiver_kind!r}",
-    )
-    _require(trajectory.total_turns >= 0, f"{where}.total_turns", "must be non-negative")
-    _require(trajectory.seed >= 0, f"{where}.seed", "must be non-negative")
-    num_runs = _field(data, "num_runs", 20, "an integer", where)
-    _require(num_runs >= 1, f"{where}.num_runs", "must be positive")
+    settings = _fields(data, _TRAJECTORY_FIELDS, where)
+    if "events" in settings:
+        settings["events"] = tuple(
+            _parse_event(e, f"{where}.events[{i}]") for i, e in enumerate(settings["events"])
+        )
+    trajectory = TrajectoryConfig(spec=spec, **settings)
     try:
         trajectory.check()
     except EventError as exc:
         raise ConfigError(f"{where}.events[{exc.index}]: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
-    return ExperimentConfig(
-        name=name,
-        trajectory=trajectory,
-        num_runs=num_runs,
-        plot=_field(data, "plot", True, "a boolean", where),
-        comment=_field(data, "comment", "", "a string", where),
-    )
+    exp = ExperimentConfig(name, trajectory, **_fields(data, _EXPERIMENT_FIELDS, where))
+    _require(exp.num_runs >= 1, f"{where}.num_runs", "must be positive")
+    return exp
 
 
 def parse_config(path) -> list[ExperimentConfig]:

@@ -59,6 +59,8 @@ class TrajectoryConfig:
     seed: int = 0
 
     def check(self) -> None:
+        """Raise ``ValueError`` (``EventError`` for an event) unless the
+        config can run from turn 1 to the end."""
         problems = validate(self.spec)
         if problems:
             raise InvalidSpecError("; ".join(problems))
@@ -66,7 +68,10 @@ class TrajectoryConfig:
             raise ValueError("total_turns must be non-negative")
         if self.snapshot_every < 1:
             raise ValueError("snapshot_every must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         self._check_events()
+        build_agents(self)  # the agents' constructors check their settings
 
     def _check_events(self) -> None:
         """Replay the events in turn order against the alphabets they rewrite."""
@@ -287,10 +292,3 @@ def run_batch(config: TrajectoryConfig, num_runs: int) -> BatchResult:
             )
         )
     return BatchResult(trajectories=trajectories, aggregate=aggregate)
-
-
-SIGNALING_SYSTEM_PAYOFF = 0.95  # reporting convention
-
-
-def reached_signaling_system(trajectory: Trajectory) -> bool:
-    return trajectory.reports[-1].expected_payoff >= SIGNALING_SYSTEM_PAYOFF

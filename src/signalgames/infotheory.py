@@ -185,25 +185,6 @@ class PolicySnapshot:
         raise KeyError(f"unknown symbol {symbol!r}")
 
 
-def induced_act_prior(snapshot: PolicySnapshot) -> np.ndarray:
-    """Marginal act distribution under current sender and receiver policies."""
-    rho = snapshot.act_tensor()
-    weighted = snapshot.joint().sum(axis=0)[..., None] * rho
-    return weighted.reshape(-1, rho.shape[-1]).sum(axis=0)
-
-
-def _act_prior(snapshot: PolicySnapshot, act_prior) -> np.ndarray:
-    # Default: the state prior carried over to acts.  The games in scope pair
-    # exactly one optimal act with each state, so information about acts is
-    # read against the same baseline as information about states; this is the
-    # convention under which converged tables show log2(1/P(s)) cells and
-    # fresh signals show all-zero rows.  Pass induced_act_prior(snapshot) to
-    # measure against the policy-induced act marginal instead.
-    if act_prior is None:
-        return snapshot.state_prior
-    return np.asarray(act_prior, dtype=float)
-
-
 def sender_average_info(snapshot: PolicySnapshot) -> float:
     """Average information the compound signals carry about states (bits)."""
     joint = snapshot.joint().reshape(snapshot.num_states, -1)  # one column per signal
@@ -213,10 +194,17 @@ def sender_average_info(snapshot: PolicySnapshot) -> float:
     return _average_info(q, posterior, snapshot.state_prior)
 
 
-def receiver_average_info(snapshot: PolicySnapshot, act_prior=None) -> float:
-    """Average information the compound signals carry about acts (bits)."""
+def receiver_average_info(snapshot: PolicySnapshot) -> float:
+    """Average information the compound signals carry about acts (bits).
+
+    Acts are read against the state prior.  The games in scope pair exactly
+    one optimal act with each state, so information about acts has the same
+    baseline as information about states: converged tables show log2(1/P(s))
+    cells and fresh signals show all-zero rows.  Acts tables use the same
+    baseline.
+    """
     q = snapshot.joint().sum(axis=0)
-    return _average_info(q, snapshot.act_tensor(), _act_prior(snapshot, act_prior))
+    return _average_info(q, snapshot.act_tensor(), snapshot.state_prior)
 
 
 RowLabel = Union[str, tuple]
@@ -229,9 +217,6 @@ class InfoTable:
     row_labels: list[str]
     col_labels: list[str]
     cells: np.ndarray
-
-    def row(self, label: str) -> np.ndarray:
-        return self.cells[self.row_labels.index(label)]
 
     def to_csv(self) -> str:
         out = io.StringIO()
@@ -273,10 +258,10 @@ def _row_conditionals(snapshot: PolicySnapshot, rows: str, cols: str) -> np.ndar
         return np.where(den > 0, num / den, num)
 
 
-def _info_cells(snapshot: PolicySnapshot, rows: str, cols: str, act_prior) -> np.ndarray:
+def _info_cells(snapshot: PolicySnapshot, rows: str, cols: str) -> np.ndarray:
     if cols not in ("states", "acts"):
         raise ValueError("cols must be 'states' or 'acts'")
-    prior = snapshot.state_prior if cols == "states" else _act_prior(snapshot, act_prior)
+    prior = snapshot.state_prior  # for acts too: see receiver_average_info
     cond = _row_conditionals(snapshot, rows, cols)
     # cell by cell through pointwise_info: math.log2 and np.log2 differ in
     # the last bit for some arguments, and table cells are math.log2 values
@@ -285,12 +270,10 @@ def _info_cells(snapshot: PolicySnapshot, rows: str, cols: str, act_prior) -> np
     return np.fromiter(cells, dtype=float, count=cond.size).reshape(cond.shape)
 
 
-def info_vector(
-    snapshot: PolicySnapshot, row: RowLabel, cols: str = "states", act_prior=None
-) -> np.ndarray:
+def info_vector(snapshot: PolicySnapshot, row: RowLabel, cols: str = "states") -> np.ndarray:
     """Pointwise information of one message (atomic or compound) per column."""
     rows = "compound" if isinstance(row, tuple) else "atomic"
-    cells = _info_cells(snapshot, rows, cols, act_prior)
+    cells = _info_cells(snapshot, rows, cols)
     return cells[_row_labels(snapshot, rows).index(row)]
 
 
@@ -308,13 +291,11 @@ def _col_labels(snapshot: PolicySnapshot, cols: str) -> list[str]:
     return [f"a{i}" for i in range(snapshot.num_acts)]
 
 
-def info_table(
-    snapshot: PolicySnapshot, rows: str = "atomic", cols: str = "states", act_prior=None
-) -> InfoTable:
+def info_table(snapshot: PolicySnapshot, rows: str = "atomic", cols: str = "states") -> InfoTable:
     """Info vectors for all atomic messages or all compound signals."""
     labels = _row_labels(snapshot, rows)
     display = [signal_label(label) if rows == "compound" else label for label in labels]
-    cells = _info_cells(snapshot, rows, cols, act_prior)
+    cells = _info_cells(snapshot, rows, cols)
     return InfoTable(display, _col_labels(snapshot, cols), cells)
 
 
@@ -352,21 +333,21 @@ def compositional_conditionals(
 
 
 def compositional_expectation(
-    snapshot: PolicySnapshot, old_symbol: str, new_symbol: str = None, act_prior=None
+    snapshot: PolicySnapshot, old_symbol: str, new_symbol: str = None
 ) -> InfoTable:
     """Acts table a perfectly compositional interpreter would show after
     replacing ``old_symbol`` by a fresh symbol."""
     if new_symbol is None:
         new_symbol = old_symbol + "?"
     post = compositional_conditionals(snapshot, old_symbol, new_symbol)
-    return info_table(post, rows="compound", cols="acts", act_prior=act_prior)
+    return info_table(post, rows="compound", cols="acts")
 
 
 def compositional_expected_average(
-    snapshot: PolicySnapshot, old_symbol: str, new_symbol: str = None, act_prior=None
+    snapshot: PolicySnapshot, old_symbol: str, new_symbol: str = None
 ) -> float:
     """Average transmitted information under the compositional expectation."""
     if new_symbol is None:
         new_symbol = old_symbol + "?"
     post = compositional_conditionals(snapshot, old_symbol, new_symbol)
-    return receiver_average_info(post, act_prior)
+    return receiver_average_info(post)

@@ -66,7 +66,7 @@ def oracle_expected_payoff(enum: OutcomeEnumeration) -> float:
     return sum(p * r for (_, _, _, p, r) in enum.rows)
 
 
-def oracle_metrics(enum: OutcomeEnumeration, act_prior=None) -> OracleMetrics:
+def oracle_metrics(enum: OutcomeEnumeration) -> OracleMetrics:
     """Recompute marginals and all information metrics by direct summation."""
     # marginals from the enumeration alone
     q: dict[CompoundSignal, float] = {}
@@ -79,9 +79,8 @@ def oracle_metrics(enum: OutcomeEnumeration, act_prior=None) -> OracleMetrics:
         joint_state_sig[(s, sig)] = joint_state_sig.get((s, sig), 0.0) + p
         joint_sig_act[(sig, a)] = joint_sig_act.get((sig, a), 0.0) + p
 
-    if act_prior is None:
-        # acts read against the state prior (one optimal act per state)
-        act_prior = [p_state.get(i, 0.0) for i in range(max(p_state) + 1)]
+    # acts read against the state prior (one optimal act per state)
+    act_prior = [p_state.get(i, 0.0) for i in range(max(p_state) + 1)]
 
     mutual = 0.0
     sender_avg = 0.0

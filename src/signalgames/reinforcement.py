@@ -117,8 +117,7 @@ class ReinforcementTable:
             "options": [_key_to_json(o) for o in self.options],
             "initial_weight": self.initial_weight,
             "entries": [
-                {"context": _key_to_json(k), "weights": list(v)}
-                for k, v in sorted(self.entries.items(), key=lambda kv: repr(kv[0]))
+                {"context": k, "weights": list(v)} for k, v in items_to_json(self.entries)
             ],
         }
 
@@ -147,6 +146,19 @@ def sample_weights(weights: Sequence[float], rng: np.random.Generator) -> int:
         if r < acc:
             return i
     return last
+
+
+def items_to_json(mapping: dict) -> list[list]:
+    """``[key, value]`` pairs with JSON-encoded keys, sorted by encoded key.
+
+    Sets encode as sorted lists, so the order does not depend on string
+    hashing and a dump is the same in every process.
+    """
+    return sorted(([_key_to_json(k), v] for k, v in mapping.items()), key=lambda kv: repr(kv[0]))
+
+
+def items_from_json(pairs) -> dict:
+    return {_key_from_json(k): v for k, v in pairs}
 
 
 def _key_to_json(key: Hashable):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from signalgames.agents import (
+    RECEIVERS,
     ConventionalReceiver,
     GeneralistReceiver,
     MinimalistReceiver,
@@ -84,8 +85,11 @@ def test_sender_replace_message_exact():
 def test_sender_json_round_trip():
     sender = Sender(GAME, 0)
     sender.reinforce(3, "mA1", 2.5)
-    copy = Sender.from_json_dict(GAME, sender.to_json_dict())
-    assert copy.alphabet == sender.alphabet
+    sender.replace_message("mA0", "mA?")
+    data = sender.to_json_dict()
+    assert "alphabet" not in data  # the table's options are the alphabet
+    copy = Sender.from_json_dict(GAME, data)
+    assert copy.alphabet == sender.alphabet == ["mA?", "mA1"]
     assert np.array_equal(copy.conditional_matrix(), sender.conditional_matrix())
 
 
@@ -179,8 +183,8 @@ def test_generalist_observe_and_reinforce_bookkeeping():
     assert recv.combo_counts[frozenset({"mB0"})] == 2.0
     assert recv.combo_counts[frozenset({"mA0", "mB0"})] == 2.0
     recv.reinforce(sig, 0, 1.0)
-    assert recv.act_counts.weights(frozenset({"mA0"}))[0] == 2.0
-    assert recv.act_counts.weights(frozenset({"mA0", "mB0"}))[0] == 2.0
+    assert recv.table.weights(frozenset({"mA0"}))[0] == 2.0
+    assert recv.table.weights(frozenset({"mA0", "mB0"}))[0] == 2.0
     # selection conditions on the full combination
     assert recv.act_distribution(sig) == [0.4, 0.2, 0.2, 0.2]
 
@@ -192,7 +196,9 @@ def test_generalist_erasing_introduction():
     recv.on_replacement("mB0", "mB?")
     # all combinations with the fresh symbol start uninformative
     assert recv.act_distribution(("mA0", "mB?")) == [0.25] * 4
-    assert recv.combo_counts[frozenset({"mB?"})] == 1.0
+    # ... because they are unseen: erasing stores no urn or count
+    assert not any("mB?" in combo for combo in recv.combo_counts)
+    assert not any("mB?" in combo for combo in recv.table.entries)
     # existing urns are untouched
     assert recv.act_distribution(("mA0", "mB0"))[0] == 0.4
 
@@ -202,11 +208,11 @@ def test_generalist_preserving_introduction_exact():
     for _ in range(10):
         recv.observe(("mA0", "mB0"))
         recv.reinforce(("mA0", "mB0"), 0, 1.0)
-    pre_single = recv.act_counts.weights(frozenset({"mA0"})).copy()
+    pre_single = recv.table.weights(frozenset({"mA0"})).copy()
     recv.on_replacement("mB0", "mB?")
     # the extended urn is an exact alpha-copy of the single-message urn
-    assert recv.act_counts.weights(frozenset({"mA0", "mB?"})) == pre_single
-    assert recv.act_distribution(("mA0", "mB?")) == recv.act_counts.distribution(
+    assert recv.table.weights(frozenset({"mA0", "mB?"})) == pre_single
+    assert recv.act_distribution(("mA0", "mB?")) == recv.table.distribution(
         frozenset({"mA0"})
     )
 
@@ -216,9 +222,9 @@ def test_generalist_preserving_alpha_scales_copied_mass():
     for _ in range(4):
         r1.observe(("mA1", "mB1"))
         r1.reinforce(("mA1", "mB1"), 3, 1.0)
-    half = [0.5 * w for w in r1.act_counts.weights(frozenset({"mA1"}))]
+    half = [0.5 * w for w in r1.table.weights(frozenset({"mA1"}))]
     r1.on_replacement("mB1", "mB?")
-    assert r1.act_counts.weights(frozenset({"mA1", "mB?"})) == half
+    assert r1.table.weights(frozenset({"mA1", "mB?"})) == half
 
 
 def test_generalist_collision_rejected():
@@ -231,9 +237,13 @@ def test_generalist_json_round_trip():
     recv = GeneralistReceiver(GAME, introduction_mode="preserving", alpha=2.0)
     recv.observe(("mA0", "mB1"))
     recv.reinforce(("mA0", "mB1"), 1, 1.0)
-    copy = receiver_from_json_dict(GAME, recv.to_json_dict())
+    data = recv.to_json_dict()
+    assert "act_counts" not in data and "num_senders" not in data
+    copy = receiver_from_json_dict(GAME, data)
     assert copy.alpha == 2.0
+    assert copy.introduction_mode == "preserving"
     assert copy.combo_counts == recv.combo_counts
+    assert copy.symbol_sender == recv.symbol_sender
     assert copy.act_distribution(("mA0", "mB1")) == recv.act_distribution(("mA0", "mB1"))
 
 
@@ -245,8 +255,26 @@ def test_make_receiver_kinds():
     assert make_receiver(GAME, "minimalist", temperature=7.0).temperature == 7.0
     general = make_receiver(GAME, "generalist", introduction_mode="preserving")
     assert general.introduction_mode == "preserving"
+    # settings of other kinds are ignored
+    assert make_receiver(GAME, "conventional", temperature=7.0, alpha=2.0).kind == "conventional"
     with pytest.raises(ValueError):
         make_receiver(GAME, "transformer")
+    assert sorted(RECEIVERS) == ["conventional", "generalist", "minimalist"]
+
+
+@pytest.mark.parametrize(
+    "kind, settings, message",
+    [
+        ("minimalist", dict(temperature=0.0), "temperature must be positive"),
+        ("minimalist", dict(temperature=float("nan")), "temperature must be positive"),
+        ("generalist", dict(introduction_mode="forgetting"), "unknown introduction mode"),
+        ("generalist", dict(alpha=0.0), "alpha must be positive"),
+        ("generalist", dict(alpha=-1.0, introduction_mode="erasing"), "alpha must be positive"),
+    ],
+)
+def test_constructors_reject_bad_settings(kind, settings, message):
+    with pytest.raises(ValueError, match=message):
+        make_receiver(GAME, kind, **settings)
 
 
 def test_choices_are_deterministic_given_seed():

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -130,18 +133,44 @@ def test_run_rejects_bad_event(tmp_path, capsys, case):
     "overrides, key_path",
     [
         ({"temperature": "hot"}, "experiments[0].temperature"),
+        # json writes and reads these as NaN and Infinity
+        ({"temperature": float("nan")}, "experiments[0].temperature"),
+        ({"alpha": float("inf")}, "experiments[0].alpha"),
         ({"seed": "a"}, "experiments[0].seed"),
         (
             {"events": [{"turn": "5", "sender": 1, "old": "mB0", "new": "mB?"}]},
             "experiments[0].events[0].turn",
         ),
     ],
-    ids=["temperature", "seed", "event-turn"],
+    ids=["temperature", "temperature-nan", "alpha-infinite", "seed", "event-turn"],
 )
 def test_run_rejects_wrongly_typed_field(tmp_path, capsys, overrides, key_path):
     path = write_config(tmp_path, [tiny_experiment(**overrides)])
     assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG_ERROR
     assert f"{key_path}: must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"receiver": "minimalist", "temperature": 0}, "temperature must be positive"),
+        ({"receiver": "minimalist", "temperature": -3.5}, "temperature must be positive"),
+        ({"receiver": "generalist", "introduction_mode": "forgetting"}, "unknown introduction mode"),
+        (
+            {"receiver": "generalist", "introduction_mode": "preserving", "alpha": 0},
+            "alpha must be positive",
+        ),
+        ({"receiver": "transformer"}, "unknown receiver kind"),
+        ({"seed": -1}, "seed must be non-negative"),
+    ],
+    ids=["temperature-zero", "temperature-negative", "introduction-mode", "alpha", "kind", "seed"],
+)
+def test_run_rejects_bad_setting(tmp_path, capsys, overrides, message):
+    path = write_config(tmp_path, [tiny_experiment(**overrides)])
+    out = tmp_path / "out"
+    assert main(["--config", str(path), "--out", str(out)]) == EXIT_CONFIG_ERROR
+    assert f"experiments[0]: {message}" in capsys.readouterr().err
+    assert not out.exists()  # rejected before the first turn
 
 
 # -- run command ------------------------------------------------------------
@@ -219,6 +248,34 @@ def test_policy_round_trip(tmp_path):
         assert abs(matrix.sum(axis=1) - 1.0).max() < 1e-9
     for row in snapshot.receiver_conditionals.values():
         assert abs(row.sum() - 1.0) < 1e-9
+
+
+def test_policy_dump_independent_of_string_hashing(tmp_path):
+    # frozenset urn keys iterate in string-hash order; the dump must not
+    path = write_config(
+        tmp_path,
+        [
+            tiny_experiment(
+                receiver="generalist",
+                introduction_mode="preserving",
+                total_turns=600,
+                events=[{"turn": 300, "sender": 1, "old": "mB0", "new": "mB?"}],
+                num_runs=1,
+            )
+        ],
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    dumps = []
+    for hash_seed in ("1", "2"):
+        out = tmp_path / f"out{hash_seed}"
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(src))
+        command = [sys.executable, "-m", "signalgames.cli", "--config", str(path)]
+        command += ["--out", str(out), "--no-plot", "--dump-policy"]
+        subprocess.run(command, env=env, check=True, capture_output=True)
+        dumps.append((out / "tiny_policy.json").read_bytes())
+    assert dumps[0] == dumps[1]
+    receiver = json.loads(dumps[0])["receiver"]
+    assert any("mB?" in json.dumps(entry) for entry in receiver["table"]["entries"])
 
 
 def test_audit_converged_conventional_flags(tmp_path, capsys):

@@ -8,7 +8,6 @@ from signalgames.engine import (
     ReplacementEvent,
     TrajectoryConfig,
     build_agents,
-    reached_signaling_system,
     run,
     run_batch,
     step,
@@ -97,7 +96,7 @@ def test_atomic_game_reaches_signaling_system():
         spec=make_atomic_game(2), total_turns=10_000, snapshot_every=10_000, seed=3
     )
     trajectory = run(config)
-    assert reached_signaling_system(trajectory)
+    assert trajectory.reports[-1].expected_payoff >= 0.95
 
 
 def test_run_batch_aggregates():
@@ -148,8 +147,7 @@ def policy_state(senders, receiver):
 
 
 def urn_entries(senders, receiver):
-    table = receiver.act_counts if hasattr(receiver, "act_counts") else receiver.table
-    return [len(s.table.entries) for s in senders] + [len(table.entries)]
+    return [len(s.table.entries) for s in senders] + [len(receiver.table.entries)]
 
 
 @pytest.mark.parametrize(

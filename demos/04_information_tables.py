@@ -31,8 +31,6 @@ def converged(receiver):
     for state, sig in SYSTEM.items():
         for sender, symbol in zip(senders, sig):
             sender.reinforce(state, symbol, BIG)
-        if hasattr(receiver, "observe"):
-            receiver.observe(sig)
         receiver.reinforce(sig, state, BIG)
     return senders, receiver
 

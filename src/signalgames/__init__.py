@@ -26,12 +26,9 @@ from .engine import (
 from .infotheory import (
     InfoTable,
     PolicySnapshot,
-    average_info,
     compositional_expectation,
     compositional_expected_average,
-    entropy,
     info_table,
-    info_vector,
     mutual_info,
     pointwise_info,
     receiver_average_info,
@@ -61,12 +58,9 @@ __all__ = [
     "run_batch",
     "PolicySnapshot",
     "InfoTable",
-    "entropy",
     "pointwise_info",
     "signal_info",
     "mutual_info",
-    "average_info",
-    "info_vector",
     "info_table",
     "sender_average_info",
     "receiver_average_info",

@@ -218,16 +218,15 @@ def _subcombinations(signal: CompoundSignal) -> list[frozenset]:
 class GeneralistReceiver(Receiver):
     """Joint reinforcement over every sub-combination of the received signal.
 
-    ``combo_counts`` tracks how often each message combination arrives
-    (updated every turn); ``table`` tracks which acts get rewarded for each
-    combination (updated on rewarded turns only).  Action selection
-    conditions on the full combination, exactly as the conventional model,
-    so the extra bookkeeping never slows coordination.
+    ``table`` holds an act urn per message combination; a rewarded turn adds
+    an act ball to the urn of every sub-combination of the signal.  Action
+    selection conditions on the full combination, exactly as the conventional
+    model, so the extra urns never slow coordination.
     """
 
     kind = "generalist"
     params = ("introduction_mode", "alpha")
-    state = ("symbol_sender", "combo_counts")
+    state = ("symbol_sender",)
 
     def __init__(
         self,
@@ -241,30 +240,18 @@ class GeneralistReceiver(Receiver):
         if not alpha > 0:
             raise ValueError(f"alpha must be positive, not {alpha!r}")
         self.num_acts = spec.num_acts
-        self.num_senders = spec.num_senders
         self.introduction_mode = introduction_mode
         self.alpha = float(alpha)
         # symbol -> sender index; replacement adds the minted symbol here
         self.symbol_sender: dict[str, int] = {
             m: i for i, alphabet in enumerate(spec.sender_alphabets) for m in alphabet
         }
-        self.combo_counts: dict[frozenset, float] = {}
         self.table = ReinforcementTable(list(range(spec.num_acts)), initial_weight)
 
     @property
     def act_counts(self) -> ReinforcementTable:
         """The act urns under their former name."""
         return self.table
-
-    def _combo_count(self, combo: frozenset) -> float:
-        return self.combo_counts.get(combo, self.table.initial_weight)
-
-    def observe(self, signal: CompoundSignal) -> None:
-        """Count the arrival of every sub-combination of the signal."""
-        for combo in _subcombinations(signal):
-            self.combo_counts[combo] = self._combo_count(combo) + 1.0
-
-    on_signal = observe
 
     def act_distribution(self, signal: CompoundSignal) -> list[float]:
         full = frozenset(m for m in signal if m is not None)
@@ -274,6 +261,9 @@ class GeneralistReceiver(Receiver):
         full = frozenset(m for m in signal if m is not None)
         return sample_weights(self.table.weights(full), rng)
 
+    def on_signal(self, signal: CompoundSignal) -> None:
+        pass
+
     def reinforce(self, signal: CompoundSignal, act: int, reward: float) -> None:
         """On reward, add an act ball to every sub-combination's urn."""
         if not reward:
@@ -281,51 +271,41 @@ class GeneralistReceiver(Receiver):
         for combo in _subcombinations(signal):
             self.table.reinforce(combo, act, reward)
 
-    def introduce_message(self, new_symbol: str, sender_index: int) -> None:
-        """Register a freshly minted symbol and initialize its urns.
+    def on_replacement(self, old_symbol: str, new_symbol: str) -> None:
+        """Register the freshly minted symbol and initialize its urns.
 
         Erasing mode stores nothing: every combination containing the new
         symbol is unseen, so it reads as the initial weight and those signals
-        are uninformative.  Preserving mode copies ``alpha`` times the counts
-        of each existing combination into its extension by the new symbol,
+        are uninformative.  Preserving mode copies ``alpha`` times the urn of
+        each combination seen so far into its extension by the new symbol,
         so conditioning on the new symbol changes nothing: the other
         components keep their meaning.
         """
         if new_symbol in self.symbol_sender:
             raise SymbolCollisionError(f"{new_symbol!r} already known")
+        sender_index = self.symbol_sender[old_symbol]
+        # the sender's symbols, retired ones included, in registration order
+        own = [m for m, i in self.symbol_sender.items() if i == sender_index]
         self.symbol_sender[new_symbol] = sender_index
-        if self.introduction_mode == "preserving":
-            self._introduce_preserving(new_symbol, sender_index)
-
-    def _introduce_preserving(self, new_symbol: str, sender_index: int) -> None:
+        if self.introduction_mode == "erasing":
+            return
         a = self.alpha
-        seen = set(self.combo_counts) | set(self.table.entries)
-        for combo in seen:
-            # only combinations the new symbol can extend: none of its sender
-            if len(combo) < self.num_senders and not any(
-                self.symbol_sender.get(m) == sender_index for m in combo
-            ):
-                extended = combo | {new_symbol}
-                self.combo_counts[extended] = a * self._combo_count(combo)
-                self.table.entries[extended] = [a * w for w in self.table.weights(combo)]
+        # The combinations seen so far are the non-empty subsets of the stored
+        # keys: ``choose`` stores the urn of every full signal that arrives,
+        # and earlier introductions store the urns they create.  Those the new
+        # symbol can extend hold none of its sender's symbols.
+        own_set = set(own)
+        remainders = {key - own_set for key in self.table.entries}
+        extendable = {combo for rest in remainders for combo in _subcombinations(rest)}
+        for combo in extendable:
+            self.table.entries[combo | {new_symbol}] = [a * w for w in self.table.weights(combo)]
         # Singleton: sum over the same sender's symbols, so that conditioning
         # on the new symbol alone reproduces the marginal act distribution.
-        same_sender = [
-            m for m, i in self.symbol_sender.items() if i == sender_index and m != new_symbol
-        ]
-        singleton = frozenset([new_symbol])
-        self.combo_counts[singleton] = a * sum(
-            self._combo_count(frozenset([m])) for m in same_sender
-        )
         marginal = [0.0] * self.num_acts
-        for m in same_sender:
-            row = self.table.weights(frozenset([m]))
-            for i in range(self.num_acts):
-                marginal[i] += row[i]
-        self.table.entries[singleton] = [a * w for w in marginal]
-
-    def on_replacement(self, old_symbol: str, new_symbol: str) -> None:
-        self.introduce_message(new_symbol, self.symbol_sender[old_symbol])
+        for m in own:
+            for i, w in enumerate(self.table.weights(frozenset([m]))):
+                marginal[i] += w
+        self.table.entries[frozenset([new_symbol])] = [a * w for w in marginal]
 
 
 RECEIVERS: dict[str, type[Receiver]] = {

@@ -36,6 +36,7 @@ from .infotheory import (
     receiver_average_info,
     signal_info,
 )
+from .reinforcement import SymbolCollisionError
 from .svgplot import line_chart
 
 EXIT_OK = 0
@@ -169,14 +170,31 @@ def _parse_experiment(data, where: str) -> ExperimentConfig:
             _parse_event(e, f"{where}.events[{i}]") for i, e in enumerate(settings["events"])
         )
     trajectory = TrajectoryConfig(spec=spec, **settings)
+    exp = ExperimentConfig(name, trajectory, **_fields(data, _EXPERIMENT_FIELDS, where))
+    _check_experiment(exp, where, f"{where}.num_runs")
+    return exp
+
+
+def _check_experiment(exp: ExperimentConfig, where: str, runs_where: str) -> None:
+    """Raise ``ConfigError`` at ``where`` (``runs_where`` for ``num_runs``)
+    unless ``exp`` can run from turn 1 to the end."""
     try:
-        trajectory.check()
+        exp.trajectory.check()
     except EventError as exc:
         raise ConfigError(f"{where}.events[{exc.index}]: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
-    exp = ExperimentConfig(name, trajectory, **_fields(data, _EXPERIMENT_FIELDS, where))
-    _require(exp.num_runs >= 1, f"{where}.num_runs", "must be positive")
+    _require(exp.num_runs >= 1, runs_where, "must be positive")
+
+
+def _with_overrides(exp: ExperimentConfig, seed: Optional[int], runs: Optional[int]):
+    """``exp`` with the command line's ``--seed`` and ``--runs``, checked by the
+    rules a config file's values pass."""
+    if seed is not None:
+        exp = replace(exp, trajectory=replace(exp.trajectory, seed=seed))
+    if runs is not None:
+        exp = replace(exp, num_runs=runs)
+    _check_experiment(exp, "--seed", "--runs")
     return exp
 
 
@@ -342,13 +360,19 @@ def audit_command(
     expectation; returns the exit code."""
     out = sys.stdout if out is None else out
     spec, pre_snapshot, senders, receiver = load_policy(policy_path)
-    if replaced_symbol not in [m for a in pre_snapshot.sender_alphabets for m in a]:
+    symbols = [m for a in pre_snapshot.sender_alphabets for m in a]
+    if replaced_symbol not in symbols:
         raise ConfigError(f"symbol {replaced_symbol!r} not in any sender alphabet")
     new_symbol = replaced_symbol + "?"
+    if new_symbol in symbols:
+        raise ConfigError(f"fresh symbol {new_symbol!r} is already in a sender alphabet")
     sender_index = pre_snapshot.sender_of(replaced_symbol)
 
     event = ReplacementEvent(0, sender_index, replaced_symbol, new_symbol)
-    apply_event(event, senders, receiver)
+    try:
+        apply_event(event, senders, receiver)
+    except SymbolCollisionError as exc:
+        raise ConfigError(f"fresh symbol {new_symbol!r} is already in use ({exc})") from exc
     post_snapshot = take_snapshot(spec, senders, receiver)
 
     expected_snapshot = compositional_conditionals(pre_snapshot, replaced_symbol, new_symbol)
@@ -363,14 +387,15 @@ def audit_command(
 
     # per-row average transmitted info, actual vs expected
     prior = post_snapshot.state_prior
+    num_acts = post_snapshot.num_acts
     print("\nper-signal transmitted info, actual vs expected (bits):", file=out)
-    for sig, q in expected_snapshot.signal_marginal().items():
-        actual_bits = (
-            signal_info(post_snapshot.receiver_conditionals[sig], prior) if q > 0 else 0.0
-        )
-        expected_bits = (
-            signal_info(expected_snapshot.receiver_conditionals[sig], prior) if q > 0 else 0.0
-        )
+    for (sig, q), actual_row, expected_row in zip(
+        expected_snapshot.signal_marginal().items(),
+        post_snapshot.receiver_conditionals.reshape(-1, num_acts),
+        expected_snapshot.receiver_conditionals.reshape(-1, num_acts),
+    ):
+        actual_bits = signal_info(actual_row, prior) if q > 0 else 0.0
+        expected_bits = signal_info(expected_row, prior) if q > 0 else 0.0
         label = " & ".join(sig)
         print(
             f"  {label:<16} actual {actual_bits:6.3f}  expected {expected_bits:6.3f}"
@@ -444,6 +469,8 @@ def main(argv=None) -> int:
             experiments = [e for e in experiments if e.name == args.experiment]
             if not experiments:
                 raise ConfigError(f"no experiment named {args.experiment!r}")
+        if args.seed is not None or args.runs is not None:
+            experiments = [_with_overrides(e, args.seed, args.runs) for e in experiments]
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
@@ -455,8 +482,6 @@ def main(argv=None) -> int:
             manifest[exp.name] = run_experiment(
                 exp,
                 args.out,
-                num_runs=args.runs,
-                seed=args.seed,
                 plot=args.plot,
                 dump_policy=args.dump_policy,
             )

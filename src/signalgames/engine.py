@@ -176,20 +176,19 @@ def take_snapshot(
     initial weights without storing them.
     """
     alphabets = tuple(tuple(sender.alphabet) for sender in senders)
+    rows = [receiver.act_distribution(sig) for sig in itertools.product(*alphabets)]
     return PolicySnapshot(
         state_prior=spec.prior_array(),
         sender_alphabets=alphabets,
         sender_conditionals=[sender.conditional_matrix() for sender in senders],
-        receiver_conditionals={
-            sig: receiver.act_distribution(sig) for sig in itertools.product(*alphabets)
-        },
+        receiver_conditionals=np.reshape(rows, tuple(map(len, alphabets)) + (-1,)),
     )
 
 
 def snapshot_expected_payoff(spec: GameSpec, snapshot: PolicySnapshot) -> float:
     """Exact expected payoff of the snapshotted policies."""
     joint = snapshot.joint()
-    rho = snapshot.act_tensor()
+    rho = snapshot.receiver_conditionals
     # E[utility | state, signal], laid out like the joint
     payoff = (spec.utility_array() @ rho.reshape(-1, rho.shape[-1]).T).reshape(joint.shape)
     return ordered_sum(np.where(joint > 0, joint * payoff, 0.0))

@@ -5,11 +5,11 @@ negative-infinity sentinel in content tables; the sentinel is set by an exact
 zero test, never by floating-point underflow.  Metrics are exact expectations
 over states, messages and acts: no empirical sampling enters here.
 
-Every metric is an array expression over two tensors that a snapshot derives
-from its fields on each call: the joint ``P(state, m_1, ..., m_k)`` and the
-act tensor ``rho(act | m_1, ..., m_k)``.  Reported totals are summed left to
-right in signal order (:func:`ordered_sum`), so they do not depend on how
-numpy groups the terms of a long sum.
+Every metric is an array expression over two tensors of a snapshot: the
+joint ``P(state, m_1, ..., m_k)``, derived from its fields on each call, and
+the receiver conditionals ``rho(act | m_1, ..., m_k)`` it holds.  Reported
+totals are summed left to right in signal order (:func:`ordered_sum`), so
+they do not depend on how numpy groups the terms of a long sum.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -52,14 +52,6 @@ def _check_normalized(p: np.ndarray, name: str) -> None:
     off = np.abs(sums - 1.0) > NORM_TOL
     if off.any():
         raise ValueError(f"{name} sums to {float(np.extract(off, sums)[0])!r}, not 1")
-
-
-def entropy(p: Sequence[float]) -> float:
-    """Shannon entropy in bits, with 0 log 0 = 0."""
-    arr = np.asarray(p, dtype=float)
-    _check_normalized(arr, "probability vector")
-    nz = arr[arr > ZERO_TOL]
-    return float(-np.sum(nz * np.log2(nz)))
 
 
 def pointwise_info(p_cond: float, p_prior: float) -> float:
@@ -106,42 +98,30 @@ def mutual_info(joint: Sequence[Sequence[float]]) -> float:
     return ordered_sum(terms)
 
 
-def average_info(
-    message_probs: Sequence[float],
-    conditionals: Sequence[Sequence[float]],
-    prior: Sequence[float],
-) -> float:
-    """Average transmitted information: Q-weighted per-message KL (bits)."""
-    q = np.asarray(message_probs, dtype=float)
-    _check_normalized(q, "message probabilities")
-    if len(conditionals) != len(q):
-        raise ValueError("one conditional per message required")
-    cond = np.asarray(conditionals, dtype=float)
-    return _average_info(q, cond, np.asarray(prior, dtype=float))
-
-
 @dataclass
 class PolicySnapshot:
     """Frozen conditional distributions of all agents at one turn.
 
-    :meth:`joint` and :meth:`act_tensor` derive the dense arrays the metrics
-    use from the fields on every call, so reassigning a field is safe.
+    ``receiver_conditionals`` is rho(act | m_1, ..., m_k), of shape
+    (|M_1|, ..., |M_k|, A), its axes in alphabet order.  :meth:`joint`
+    derives the joint from the fields on every call, so reassigning a field
+    is safe.
     """
 
     state_prior: np.ndarray
     sender_alphabets: tuple[tuple[str, ...], ...]
     sender_conditionals: list[np.ndarray]  # one |S| x |alphabet| matrix per sender
-    receiver_conditionals: dict[CompoundSignal, np.ndarray]
+    receiver_conditionals: np.ndarray
 
     def __post_init__(self):
         self.state_prior = np.asarray(self.state_prior, dtype=float)
         self.sender_conditionals = [
             np.asarray(m, dtype=float) for m in self.sender_conditionals
         ]
-        self.receiver_conditionals = {
-            tuple(k): np.asarray(v, dtype=float)
-            for k, v in self.receiver_conditionals.items()
-        }
+        self.receiver_conditionals = np.asarray(self.receiver_conditionals, dtype=float)
+        sizes = tuple(map(len, self.sender_alphabets))
+        if self.receiver_conditionals.shape[:-1] != sizes:
+            raise ValueError(f"receiver conditionals do not match alphabet sizes {sizes}")
 
     @property
     def num_states(self) -> int:
@@ -149,7 +129,7 @@ class PolicySnapshot:
 
     @property
     def num_acts(self) -> int:
-        return len(next(iter(self.receiver_conditionals.values())))
+        return self.receiver_conditionals.shape[-1]
 
     def signals(self) -> list[CompoundSignal]:
         """All compound signals, in product order: the C order of the arrays."""
@@ -162,21 +142,9 @@ class PolicySnapshot:
             probs = probs[..., None] * cond.reshape((len(cond),) + (1,) * i + (-1,))
         return self.state_prior.reshape((-1,) + (1,) * (probs.ndim - 1)) * probs
 
-    def act_tensor(self) -> np.ndarray:
-        """rho(act | m_1, ..., m_k), of shape (|M_1|, ..., |M_k|, A)."""
-        rows = [self.receiver_conditionals[sig] for sig in self.signals()]
-        return np.array(rows).reshape(tuple(map(len, self.sender_alphabets)) + (-1,))
-
     def signal_marginal(self) -> dict[CompoundSignal, float]:
         """Q(signal) induced by the prior and current sender policies."""
         return dict(zip(self.signals(), self.joint().sum(axis=0).ravel().tolist()))
-
-    def state_posterior(self, signal: CompoundSignal) -> np.ndarray:
-        """P(state | signal) by Bayes; zero-probability signals stay zero."""
-        index = tuple(a.index(m) for a, m in zip(self.sender_alphabets, signal))
-        joint = self.joint()[(slice(None),) + index]
-        total = joint.sum()
-        return joint / total if total > 0.0 else joint
 
     def sender_of(self, symbol: str) -> int:
         for i, alphabet in enumerate(self.sender_alphabets):
@@ -204,10 +172,7 @@ def receiver_average_info(snapshot: PolicySnapshot) -> float:
     baseline.
     """
     q = snapshot.joint().sum(axis=0)
-    return _average_info(q, snapshot.act_tensor(), snapshot.state_prior)
-
-
-RowLabel = Union[str, tuple]
+    return _average_info(q, snapshot.receiver_conditionals, snapshot.state_prior)
 
 
 @dataclass
@@ -234,7 +199,7 @@ def _row_conditionals(snapshot: PolicySnapshot, rows: str, cols: str) -> np.ndar
     joint = snapshot.joint()
     if rows == "compound":
         if cols == "acts":
-            return snapshot.act_tensor().reshape(-1, snapshot.num_acts)
+            return snapshot.receiver_conditionals.reshape(-1, snapshot.num_acts)
         num = joint.reshape(len(joint), -1).T
         den = num.sum(axis=1)
     elif cols == "states":
@@ -245,7 +210,7 @@ def _row_conditionals(snapshot: PolicySnapshot, rows: str, cols: str) -> np.ndar
         # acts of an atomic message: the receiver conditional averaged over
         # the signals that contain it, weighted by how often each arrives
         q = joint.sum(axis=0)
-        weighted = q[..., None] * snapshot.act_tensor()
+        weighted = q[..., None] * snapshot.receiver_conditionals
         num = np.concatenate([
             np.moveaxis(weighted, i, 0).reshape(q.shape[i], -1, snapshot.num_acts).sum(axis=1)
             for i in range(q.ndim)
@@ -270,14 +235,7 @@ def _info_cells(snapshot: PolicySnapshot, rows: str, cols: str) -> np.ndarray:
     return np.fromiter(cells, dtype=float, count=cond.size).reshape(cond.shape)
 
 
-def info_vector(snapshot: PolicySnapshot, row: RowLabel, cols: str = "states") -> np.ndarray:
-    """Pointwise information of one message (atomic or compound) per column."""
-    rows = "compound" if isinstance(row, tuple) else "atomic"
-    cells = _info_cells(snapshot, rows, cols)
-    return cells[_row_labels(snapshot, rows).index(row)]
-
-
-def _row_labels(snapshot: PolicySnapshot, rows: str) -> list[RowLabel]:
+def _row_labels(snapshot: PolicySnapshot, rows: str) -> list:
     if rows == "atomic":
         return [m for alphabet in snapshot.sender_alphabets for m in alphabet]
     if rows == "compound":
@@ -312,7 +270,7 @@ def compositional_conditionals(
     slot = snapshot.sender_of(old_symbol)
     alphabet = snapshot.sender_alphabets[slot]
     q = snapshot.joint().sum(axis=0)
-    rho = snapshot.act_tensor()
+    rho = snapshot.receiver_conditionals
     num = (q[..., None] * rho).sum(axis=slot)
     den = q.sum(axis=slot)[..., None]
     post = rho.copy()
@@ -326,9 +284,7 @@ def compositional_conditionals(
         state_prior=snapshot.state_prior,
         sender_alphabets=tuple(alphabets),
         sender_conditionals=snapshot.sender_conditionals,
-        receiver_conditionals=dict(
-            zip(itertools.product(*alphabets), post.reshape(-1, post.shape[-1]))
-        ),
+        receiver_conditionals=post,
     )
 
 

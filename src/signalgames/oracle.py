@@ -51,12 +51,13 @@ def enumerate_outcomes(spec: GameSpec, snapshot: PolicySnapshot) -> OutcomeEnume
     for s in range(spec.num_states):
         p_s = snapshot.state_prior[s]
         for sig in itertools.product(*snapshot.sender_alphabets):
-            sig = tuple(sig)
             p_sig = 1.0
+            index = []
             for sender, symbol in enumerate(sig):
                 idx = snapshot.sender_alphabets[sender].index(symbol)
+                index.append(idx)
                 p_sig *= float(snapshot.sender_conditionals[sender][s, idx])
-            rho = snapshot.receiver_conditionals[sig]
+            rho = snapshot.receiver_conditionals[tuple(index)]
             for a in range(spec.num_acts):
                 rows.append((s, sig, a, float(p_s * p_sig * rho[a]), utility[s][a]))
     return OutcomeEnumeration(rows)

@@ -174,16 +174,13 @@ def test_minimalist_json_round_trip():
 # -- generalist receiver ----------------------------------------------------
 
 
-def test_generalist_observe_and_reinforce_bookkeeping():
+def test_generalist_reinforce_bookkeeping():
     recv = GeneralistReceiver(GAME)
     sig = ("mA0", "mB0")
-    recv.observe(sig)
-    # every sub-combination of the signal is counted
-    assert recv.combo_counts[frozenset({"mA0"})] == 2.0  # initial 1 + 1
-    assert recv.combo_counts[frozenset({"mB0"})] == 2.0
-    assert recv.combo_counts[frozenset({"mA0", "mB0"})] == 2.0
     recv.reinforce(sig, 0, 1.0)
-    assert recv.table.weights(frozenset({"mA0"}))[0] == 2.0
+    # every sub-combination of the signal is reinforced
+    assert recv.table.weights(frozenset({"mA0"}))[0] == 2.0  # initial 1 + 1
+    assert recv.table.weights(frozenset({"mB0"}))[0] == 2.0
     assert recv.table.weights(frozenset({"mA0", "mB0"}))[0] == 2.0
     # selection conditions on the full combination
     assert recv.act_distribution(sig) == [0.4, 0.2, 0.2, 0.2]
@@ -191,13 +188,11 @@ def test_generalist_observe_and_reinforce_bookkeeping():
 
 def test_generalist_erasing_introduction():
     recv = GeneralistReceiver(GAME, introduction_mode="erasing")
-    recv.observe(("mA0", "mB0"))
     recv.reinforce(("mA0", "mB0"), 0, 1.0)
     recv.on_replacement("mB0", "mB?")
     # all combinations with the fresh symbol start uninformative
     assert recv.act_distribution(("mA0", "mB?")) == [0.25] * 4
-    # ... because they are unseen: erasing stores no urn or count
-    assert not any("mB?" in combo for combo in recv.combo_counts)
+    # ... because they are unseen: erasing stores no urn
     assert not any("mB?" in combo for combo in recv.table.entries)
     # existing urns are untouched
     assert recv.act_distribution(("mA0", "mB0"))[0] == 0.4
@@ -206,7 +201,6 @@ def test_generalist_erasing_introduction():
 def test_generalist_preserving_introduction_exact():
     recv = GeneralistReceiver(GAME, introduction_mode="preserving", alpha=1.0)
     for _ in range(10):
-        recv.observe(("mA0", "mB0"))
         recv.reinforce(("mA0", "mB0"), 0, 1.0)
     pre_single = recv.table.weights(frozenset({"mA0"})).copy()
     recv.on_replacement("mB0", "mB?")
@@ -220,7 +214,6 @@ def test_generalist_preserving_introduction_exact():
 def test_generalist_preserving_alpha_scales_copied_mass():
     r1 = GeneralistReceiver(GAME, introduction_mode="preserving", alpha=0.5)
     for _ in range(4):
-        r1.observe(("mA1", "mB1"))
         r1.reinforce(("mA1", "mB1"), 3, 1.0)
     half = [0.5 * w for w in r1.table.weights(frozenset({"mA1"}))]
     r1.on_replacement("mB1", "mB?")
@@ -230,21 +223,35 @@ def test_generalist_preserving_alpha_scales_copied_mass():
 def test_generalist_collision_rejected():
     recv = GeneralistReceiver(GAME)
     with pytest.raises(SymbolCollisionError):
-        recv.introduce_message("mB1", 1)
+        recv.on_replacement("mB0", "mB1")
 
 
 def test_generalist_json_round_trip():
     recv = GeneralistReceiver(GAME, introduction_mode="preserving", alpha=2.0)
-    recv.observe(("mA0", "mB1"))
     recv.reinforce(("mA0", "mB1"), 1, 1.0)
     data = recv.to_json_dict()
     assert "act_counts" not in data and "num_senders" not in data
+    assert "combo_counts" not in data
     copy = receiver_from_json_dict(GAME, data)
     assert copy.alpha == 2.0
     assert copy.introduction_mode == "preserving"
-    assert copy.combo_counts == recv.combo_counts
     assert copy.symbol_sender == recv.symbol_sender
     assert copy.act_distribution(("mA0", "mB1")) == recv.act_distribution(("mA0", "mB1"))
+    # files that still hold the former arrival tally load; it is ignored
+    old = receiver_from_json_dict(GAME, dict(data, combo_counts=[[{"set": ["mA0"]}, 2.0]]))
+    assert not hasattr(old, "combo_counts")
+    assert old.table.entries == recv.table.entries
+
+
+def test_generalist_preserving_extends_unrewarded_arrivals():
+    # a signal that arrived but was never rewarded still gets its extension
+    recv = GeneralistReceiver(GAME, introduction_mode="preserving", alpha=0.5)
+    recv.choose(("mA0", "mB0"), make_rng(0))
+    recv.on_replacement("mB0", "mB?")
+    assert recv.table.weights(frozenset({"mA0", "mB?"})) == [0.5] * 4
+    assert recv.table.weights(frozenset({"mB?"})) == [1.0] * 4  # 0.5 x (mB0 + mB1)
+    # mA1 never arrived, so nothing extends it
+    assert frozenset({"mA1", "mB?"}) not in recv.table.entries
 
 
 # -- factory ----------------------------------------------------------------

@@ -1,0 +1,53 @@
+"""The benchmark's tracer patches program callables by name; keep them there.
+
+``perfbench/spans.py`` wraps receiver methods, engine functions and CLI
+entry points where the program looks them up.  A refactor that deletes or
+renames one of them makes the benchmark fail at set-up, so this test installs
+the tracer, checks that it patched something, and checks that leaving the
+block restores every attribute it touched.
+"""
+
+import importlib.util
+from pathlib import Path
+
+from signalgames import agents, cli, engine, infotheory, reinforcement
+
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+OWNERS = (
+    agents,
+    cli,
+    engine,
+    infotheory,
+    reinforcement,
+    reinforcement.ReinforcementTable,
+    agents.Sender,
+    agents.ConventionalReceiver,
+    agents.MinimalistReceiver,
+    agents.GeneralistReceiver,
+)
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_patches_and_restores_call_sites():
+    before = [dict(vars(owner)) for owner in OWNERS]
+    with load_spans().Tracer().installed():
+        patched = [
+            (owner, name, value)
+            for owner, saved in zip(OWNERS, before)
+            for name, value in saved.items()
+            if vars(owner).get(name) is not value
+        ]
+    assert patched
+    names = {(owner.__name__, name) for owner, name, _ in patched}
+    for cls in ("ConventionalReceiver", "MinimalistReceiver", "GeneralistReceiver"):
+        for method in ("choose", "reinforce", "on_signal", "on_replacement"):
+            assert (cls, method) in names
+    for owner, name, value in patched:
+        assert vars(owner)[name] is value, f"{owner.__name__}.{name} not restored"

@@ -173,6 +173,22 @@ def test_run_rejects_bad_setting(tmp_path, capsys, overrides, message):
     assert not out.exists()  # rejected before the first turn
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--seed", "-1"], "--seed: seed must be non-negative"),
+        (["--runs", "0"], "--runs: must be positive"),
+    ],
+    ids=["seed", "runs"],
+)
+def test_run_rejects_bad_override(tmp_path, capsys, flags, message):
+    path = write_config(tmp_path, [tiny_experiment()])
+    out = tmp_path / "out"
+    assert main(["--config", str(path), "--out", str(out)] + flags) == EXIT_CONFIG_ERROR
+    assert message in capsys.readouterr().err
+    assert not out.exists()  # rejected before the first turn
+
+
 # -- run command ------------------------------------------------------------
 
 
@@ -246,8 +262,7 @@ def test_policy_round_trip(tmp_path):
     assert abs(snapshot.state_prior.sum() - 1.0) < 1e-9
     for matrix in snapshot.sender_conditionals:
         assert abs(matrix.sum(axis=1) - 1.0).max() < 1e-9
-    for row in snapshot.receiver_conditionals.values():
-        assert abs(row.sum() - 1.0) < 1e-9
+    assert abs(snapshot.receiver_conditionals.sum(axis=-1) - 1.0).max() < 1e-9
 
 
 def test_policy_dump_independent_of_string_hashing(tmp_path):
@@ -321,6 +336,39 @@ def test_audit_unknown_symbol(tmp_path):
     policy = dump_tiny_policy(tmp_path, total_turns=100)
     with pytest.raises(ConfigError):
         audit_command(policy, "zzz")
+
+
+@pytest.mark.parametrize(
+    "events, replaced",
+    [
+        # the fresh symbol mB0? is in sender 1's alphabet
+        ([("mB1", "mB0?")], "mB0"),
+        # the fresh symbol mB1? was retired; the generalist still knows it
+        ([("mB0", "mB1?"), ("mB1?", "z")], "mB1"),
+    ],
+    ids=["in-alphabet", "retired"],
+)
+def test_audit_fresh_symbol_in_use(tmp_path, capsys, events, replaced):
+    path = write_config(
+        tmp_path,
+        [
+            tiny_experiment(
+                receiver="generalist",
+                introduction_mode="preserving",
+                events=[
+                    {"turn": 100 * (i + 1), "sender": 1, "old": old, "new": new}
+                    for i, (old, new) in enumerate(events)
+                ],
+                num_runs=1,
+            )
+        ],
+    )
+    out = tmp_path / "dump"
+    assert main(["--config", str(path), "--no-plot", "--dump-policy", "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    policy = out / "tiny_policy.json"
+    assert main(["--audit", str(policy), "--replace", replaced]) == EXIT_CONFIG_ERROR
+    assert f"fresh symbol '{replaced}?' is already in" in capsys.readouterr().err
 
 
 def test_audit_cli_exit_code(tmp_path):

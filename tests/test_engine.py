@@ -134,7 +134,8 @@ def test_generalist_event_mid_run():
     )
     assert "mB?" in trajectory.receiver.symbol_sender
     post = trajectory.event_snapshots[(300, "post")]
-    assert ("mA0", "mB?") in post.receiver_conditionals
+    assert post.sender_alphabets[1] == ("mB?", "mB1")
+    assert post.receiver_conditionals.shape == (2, 2, 4)
 
 
 # -- reads are pure ---------------------------------------------------------

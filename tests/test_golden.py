@@ -119,6 +119,33 @@ def test_choice_sequence_digest(tmp_path, kind):
     assert choice_digest(experiment.trajectory) == CHOICE_DIGESTS[kind]
 
 
+# SHA-256 of the choices of one 3,000-turn preserving run, seed 0, with
+# events at turns 3 and 10: early events extend urns that arrived but were
+# never rewarded, which only alpha != 1 tells apart from unseen ones.
+PRESERVING_ALPHA_DIGESTS = {
+    0.5: "1f19cbfdef49e18ecdf1d53248dd395800ad42585364ed1851c59889f6c124ba",
+    3.0: "c7a89f21fd558b1c1be5dab8bd81d9948532704caf39a0f3664b1b26eb871618",
+}
+
+
+@pytest.mark.parametrize("alpha", sorted(PRESERVING_ALPHA_DIGESTS))
+def test_preserving_alpha_choice_digest(alpha):
+    config = engine.TrajectoryConfig(
+        spec=make_two_sender_game(),
+        receiver_kind="generalist",
+        introduction_mode="preserving",
+        alpha=alpha,
+        total_turns=3_000,
+        events=(
+            engine.ReplacementEvent(3, 1, "mB0", "mB?"),
+            engine.ReplacementEvent(10, 0, "mA1", "mA?"),
+        ),
+        snapshot_every=3_000,
+        seed=0,
+    )
+    assert choice_digest(config) == PRESERVING_ALPHA_DIGESTS[alpha]
+
+
 RECEIVERS = (
     dict(receiver_kind="conventional"),
     dict(receiver_kind="minimalist", temperature=2000.0),

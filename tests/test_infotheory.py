@@ -10,12 +10,9 @@ from signalgames.infotheory import (
     NEG_INF,
     InfoTable,
     PolicySnapshot,
-    average_info,
     compositional_expectation,
     compositional_expected_average,
-    entropy,
     info_table,
-    info_vector,
     mutual_info,
     pointwise_info,
     receiver_average_info,
@@ -44,8 +41,6 @@ def converged_agents(receiver=None):
     for state, sig in SYSTEM_SIGNALS.items():
         for sender, symbol in zip(senders, sig):
             sender.reinforce(state, symbol, BIG)
-        if hasattr(receiver, "observe"):
-            receiver.observe(sig)
         receiver.reinforce(sig, state, BIG)
     return senders, receiver
 
@@ -62,11 +57,6 @@ def assert_rows(table: InfoTable, expected: dict):
 
 
 # -- scalar measures --------------------------------------------------------
-
-
-def test_entropy_uniform_and_point():
-    assert abs(entropy([0.25] * 4) - 2.0) < TOL
-    assert entropy([1.0, 0.0]) == 0.0
 
 
 def test_pointwise_info_values():
@@ -97,18 +87,6 @@ def test_mutual_info_of_product_is_zero():
     assert abs(mutual_info(joint)) < TOL
 
 
-def test_average_info_matches_mutual_info():
-    # when conditionals are the true posteriors, average info equals MI
-    rng = make_rng(17)
-    prior = rng.dirichlet(np.ones(3))
-    channel = rng.dirichlet(np.ones(4), size=3)  # P(sig | state)
-    joint = prior[:, None] * channel
-    q = joint.sum(axis=0)
-    posteriors = (joint / q).T  # P(state | sig) per signal
-    avg = average_info(q, list(posteriors), prior)
-    assert abs(avg - mutual_info(joint)) < 1e-9
-
-
 # -- snapshots --------------------------------------------------------------
 
 
@@ -119,13 +97,26 @@ def test_snapshot_marginal_and_posterior():
     assert abs(sum(q.values()) - 1.0) < 1e-9
     for state, sig in SYSTEM_SIGNALS.items():
         assert abs(q[sig] - 0.25) < 1e-9
-        post = snap.state_posterior(sig)
-        assert abs(post[state] - 1.0) < 1e-9
+        # P(state | signal) from the joint: each system signal names its state
+        index = tuple(a.index(m) for a, m in zip(snap.sender_alphabets, sig))
+        column = snap.joint()[(slice(None),) + index]
+        assert abs(column[state] / column.sum() - 1.0) < 1e-9
     assert abs(snap.state_prior.sum() - 1.0) < 1e-9
     for matrix in snap.sender_conditionals:
         assert np.allclose(matrix.sum(axis=1), 1.0, atol=1e-9)
-    for row in snap.receiver_conditionals.values():
-        assert abs(row.sum() - 1.0) < 1e-9
+    assert snap.receiver_conditionals.shape == (2, 2, 4)
+    assert np.abs(snap.receiver_conditionals.sum(axis=-1) - 1.0).max() < 1e-9
+
+
+def test_snapshot_checks_receiver_shape():
+    prior = GAME.prior_array()
+    senders = [np.full((4, 2), 0.5)] * 2
+    rho = np.full((2, 2, 4), 0.25)
+    snap = PolicySnapshot(prior, GAME.sender_alphabets, senders, rho)
+    assert snap.num_acts == 4
+    for bad in (rho[0], rho.reshape(4, 4), np.full((2, 3, 4), 0.25)):
+        with pytest.raises(ValueError, match="alphabet sizes"):
+            PolicySnapshot(prior, GAME.sender_alphabets, senders, bad)
 
 
 def test_snapshot_sender_of():
@@ -331,11 +322,11 @@ def test_sender_average_info_converged():
     assert abs(sender_average_info(snap) - 2.0) < 1e-9
 
 
-def test_info_vector_rejects_bad_cols():
+def test_info_table_rejects_bad_cols():
     senders, receiver = converged_agents()
     snap = take_snapshot(GAME, senders, receiver)
     with pytest.raises(ValueError):
-        info_vector(snap, "mA0", cols="rewards")
+        info_table(snap, cols="rewards")
 
 
 def test_info_table_csv_sentinel():

@@ -23,16 +23,14 @@ def random_snapshot(spec, rng):
         rng.dirichlet(np.ones(len(alphabet)), size=spec.num_states)
         for alphabet in spec.sender_alphabets
     ]
-    snap = PolicySnapshot(
+    # one act distribution per signal, drawn in C order like one call per signal
+    sizes = tuple(map(len, spec.sender_alphabets))
+    return PolicySnapshot(
         state_prior=spec.prior_array(),
         sender_alphabets=spec.sender_alphabets,
         sender_conditionals=conditionals,
-        receiver_conditionals={},
+        receiver_conditionals=rng.dirichlet(np.ones(spec.num_acts), size=sizes),
     )
-    snap.receiver_conditionals = {
-        sig: rng.dirichlet(np.ones(spec.num_acts)) for sig in snap.signals()
-    }
-    return snap
 
 
 def state_signal_joint(snap):
@@ -67,16 +65,14 @@ def test_oracle_probabilities_sum_to_one():
 
 def test_oracle_payoff_perfect_system():
     spec = make_two_sender_game()
-    system = {0: ("mA0", "mB0"), 1: ("mA0", "mB1"), 2: ("mA1", "mB0"), 3: ("mA1", "mB1")}
+    # state 2i + j is sent as (mAi, mBj) and read as act 2i + j
     sender_a = np.array([[1, 0], [1, 0], [0, 1], [0, 1]], dtype=float)
     sender_b = np.array([[1, 0], [0, 1], [1, 0], [0, 1]], dtype=float)
     snap = PolicySnapshot(
         state_prior=spec.prior_array(),
         sender_alphabets=spec.sender_alphabets,
         sender_conditionals=[sender_a, sender_b],
-        receiver_conditionals={
-            sig: np.eye(4)[state] for state, sig in system.items()
-        },
+        receiver_conditionals=np.eye(4).reshape(2, 2, 4),
     )
     enum = enumerate_outcomes(spec, snap)
     assert abs(oracle_expected_payoff(enum) - 1.0) < 1e-12
@@ -91,7 +87,7 @@ def test_enumeration_guard():
         state_prior=spec.prior_array(),
         sender_alphabets=spec.sender_alphabets,
         sender_conditionals=[np.full((101, 101), 1.0 / 101)],
-        receiver_conditionals={(f"m{i}",): np.full(101, 1.0 / 101) for i in range(101)},
+        receiver_conditionals=np.full((101, 101), 1.0 / 101),
     )
     with pytest.raises(EnumerationTooLargeError):
         enumerate_outcomes(spec, snap)

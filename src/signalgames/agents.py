@@ -30,10 +30,11 @@ def tempered_softmax(scores: Sequence[float], temperature: float) -> list[float]
     """exp(score/T) normalized, with max-subtraction for overflow safety."""
     if temperature <= 0:
         raise ValueError("temperature must be positive")
-    if not all(math.isfinite(s) for s in scores):
+    if not all(map(math.isfinite, scores)):
         raise ValueError("softmax scores must be finite")
     top = max(scores)
-    exps = [math.exp((s - top) / temperature) for s in scores]
+    exp = math.exp
+    exps = [exp((s - top) / temperature) for s in scores]
     total = sum(exps)
     return [e / total for e in exps]
 
@@ -167,12 +168,10 @@ class MinimalistReceiver(Receiver):
     def naive_scores(self, signal: CompoundSignal) -> list[float]:
         """Per-act summed reinforcement over the signal's present slots."""
         scores = [0.0] * self.num_acts
+        peek = self.table.peek
         for symbol in signal:
-            if symbol is None:
-                continue
-            row = self.table.peek(symbol)
-            for a in range(self.num_acts):
-                scores[a] += row[a]
+            if symbol is not None:
+                scores = [s + w for s, w in zip(scores, peek(symbol))]
         return scores
 
     def naive_distribution(self, signal: CompoundSignal) -> list[float]:
@@ -247,6 +246,16 @@ class GeneralistReceiver(Receiver):
             m: i for i, alphabet in enumerate(spec.sender_alphabets) for m in alphabet
         }
         self.table = ReinforcementTable(list(range(spec.num_acts)), initial_weight)
+        # signal -> (full combination, non-empty sub-combinations); derived from
+        # the signal alone, so it needs no invalidation and is never dumped
+        self._contexts: dict[CompoundSignal, tuple[frozenset, tuple[frozenset, ...]]] = {}
+
+    def _signal_contexts(self, signal: CompoundSignal) -> tuple[frozenset, tuple[frozenset, ...]]:
+        contexts = self._contexts.get(signal)
+        if contexts is None:
+            combos = tuple(_subcombinations(signal))
+            contexts = self._contexts[signal] = (combos[-1] if combos else frozenset(), combos)
+        return contexts
 
     @property
     def act_counts(self) -> ReinforcementTable:
@@ -254,11 +263,11 @@ class GeneralistReceiver(Receiver):
         return self.table
 
     def act_distribution(self, signal: CompoundSignal) -> list[float]:
-        full = frozenset(m for m in signal if m is not None)
+        full, _ = self._signal_contexts(signal)
         return self.table.distribution(full)
 
     def choose(self, signal: CompoundSignal, rng: np.random.Generator) -> int:
-        full = frozenset(m for m in signal if m is not None)
+        full, _ = self._signal_contexts(signal)
         return sample_weights(self.table.weights(full), rng)
 
     def on_signal(self, signal: CompoundSignal) -> None:
@@ -268,8 +277,9 @@ class GeneralistReceiver(Receiver):
         """On reward, add an act ball to every sub-combination's urn."""
         if not reward:
             return
-        for combo in _subcombinations(signal):
-            self.table.reinforce(combo, act, reward)
+        reinforce = self.table.reinforce
+        for combo in self._signal_contexts(signal)[1]:
+            reinforce(combo, act, reward)
 
     def on_replacement(self, old_symbol: str, new_symbol: str) -> None:
         """Register the freshly minted symbol and initialize its urns.

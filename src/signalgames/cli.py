@@ -366,6 +366,9 @@ def audit_command(
     new_symbol = replaced_symbol + "?"
     if new_symbol in symbols:
         raise ConfigError(f"fresh symbol {new_symbol!r} is already in a sender alphabet")
+    # a retired symbol's urns outlive it; reading them would fake a fresh symbol
+    if receiver.table.uses(new_symbol):
+        raise ConfigError(f"fresh symbol {new_symbol!r} is already in a receiver urn")
     sender_index = pre_snapshot.sender_of(replaced_symbol)
 
     event = ReplacementEvent(0, sender_index, replaced_symbol, new_symbol)

@@ -22,7 +22,7 @@ from .infotheory import (
     receiver_average_info,
     sender_average_info,
 )
-from .reinforcement import make_rng, sample_weights
+from .reinforcement import BlockUniforms, make_rng, sample_weights
 
 
 @dataclass(frozen=True)
@@ -141,22 +141,23 @@ def step(
     spec: GameSpec,
     senders: Sequence[Sender],
     receiver: Receiver,
-    rng: np.random.Generator,
+    rng: np.random.Generator | BlockUniforms,
     prior_weights: Sequence[float],
 ) -> tuple[int, tuple, int, float]:
     """One full round of play, including reinforcement.
 
-    Returns (state, signal, act, reward).
+    Consumes 2 + num_senders draws of ``rng.random()``: state, each sender,
+    then the receiver.  Returns (state, signal, act, reward).
     """
     state = sample_weights(prior_weights, rng)
-    signal = tuple(sender.choose(state, rng) for sender in senders)
+    signal = tuple([sender.choose(state, rng) for sender in senders])
     receiver.on_signal(signal)
     act = receiver.choose(signal, rng)
     reward = spec.utility[state][act]
     if reward:
         for sender, symbol in zip(senders, signal):
             sender.reinforce(state, symbol, reward)
-    receiver.reinforce(signal, act, reward)
+        receiver.reinforce(signal, act, reward)
     return state, signal, act, reward
 
 
@@ -208,7 +209,7 @@ def run(config: TrajectoryConfig) -> Trajectory:
     """Execute one seeded trajectory, returning its metric reports."""
     config.check()
     spec = config.spec
-    rng = make_rng(config.seed)
+    rng = BlockUniforms(make_rng(config.seed))
     senders, receiver = build_agents(config)
     events_by_turn = {event.turn: event for event in config.events}
     prior_weights = list(spec.state_prior)

@@ -12,6 +12,9 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
+# Uniforms fetched per refill by BlockUniforms: a few KB, whatever the run length.
+BLOCK = 1024
+
 
 class DegenerateContextError(ValueError):
     """All weights in a context are zero; no proportional choice exists."""
@@ -24,6 +27,23 @@ class SymbolCollisionError(ValueError):
 def make_rng(seed: int) -> np.random.Generator:
     """Deterministic random stream: same seed, same draws, any platform."""
     return np.random.default_rng(seed)
+
+
+class BlockUniforms:
+    """``rng`` for the turn loop: ``random()`` returns the floats that
+    successive ``rng.random()`` calls would, fetched ``BLOCK`` at a time.
+
+    ``rng.random(n)`` yields the same n floats as n scalar calls, so only the
+    per-call cost changes.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        self.random = self._stream(rng).__next__
+
+    @staticmethod
+    def _stream(rng: np.random.Generator):
+        while True:
+            yield from rng.random(BLOCK).tolist()
 
 
 class ReinforcementTable:
@@ -41,11 +61,9 @@ class ReinforcementTable:
         if not options:
             raise ValueError("option set must be non-empty")
         self.options = list(options)
+        self.position = {option: i for i, option in enumerate(self.options)}
         self.initial_weight = float(initial_weight)
         self.entries: dict[Hashable, list[float]] = {}
-
-    def _index(self, option: Hashable) -> int:
-        return self.options.index(option)
 
     def weights(self, context: Hashable) -> list[float]:
         """Weight vector for a context, materializing it if unseen."""
@@ -72,7 +90,10 @@ class ReinforcementTable:
         """Add ``amount`` balls of ``option`` to the ``context`` urn."""
         if amount < 0:
             raise ValueError("negative reinforcement is out of scope")
-        self.weights(context)[self._index(option)] += amount
+        row = self.entries.get(context)
+        if row is None:
+            row = self.weights(context)
+        row[self.position[option]] += amount
 
     def relabel(self, old_symbol: Hashable, new_symbol: Hashable) -> None:
         """Rename a symbol wherever it appears, keeping every weight.
@@ -80,21 +101,21 @@ class ReinforcementTable:
         Symbols are renamed both in option labels and inside tuple/frozenset
         context keys.  A no-op if ``old_symbol`` is absent.
         """
-        if new_symbol == old_symbol:
+        if new_symbol == old_symbol or not self.uses(old_symbol):
             return
-        present = old_symbol in self.options or any(
-            self._key_contains(k, old_symbol) for k in self.entries
-        )
-        if not present:
-            return
-        if new_symbol in self.options or any(
-            self._key_contains(k, new_symbol) for k in self.entries
-        ):
+        if self.uses(new_symbol):
             raise SymbolCollisionError(f"symbol {new_symbol!r} already in use")
         self.options = [new_symbol if o == old_symbol else o for o in self.options]
+        self.position = {option: i for i, option in enumerate(self.options)}
         self.entries = {
             self._swap_key(k, old_symbol, new_symbol): v for k, v in self.entries.items()
         }
+
+    def uses(self, symbol: Hashable) -> bool:
+        """Whether ``symbol`` is an option or part of a stored context key."""
+        return symbol in self.options or any(
+            self._key_contains(k, symbol) for k in self.entries
+        )
 
     @staticmethod
     def _key_contains(key: Hashable, symbol: Hashable) -> bool:

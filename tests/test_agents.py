@@ -186,6 +186,22 @@ def test_generalist_reinforce_bookkeeping():
     assert recv.act_distribution(sig) == [0.4, 0.2, 0.2, 0.2]
 
 
+def test_generalist_partial_and_empty_signals():
+    recv = GeneralistReceiver(GAME)
+    recv.reinforce(("mA0", None), 1, 2.0)
+    assert set(recv.table.entries) == {frozenset({"mA0"})}
+    assert recv.act_distribution(("mA0", None)) == [1 / 6, 3 / 6, 1 / 6, 1 / 6]
+    # a signal with no present slot reads and stores the empty combination
+    recv.reinforce((None, None), 0, 1.0)
+    assert set(recv.table.entries) == {frozenset({"mA0"})}
+    recv.choose((None, None), make_rng(0))
+    assert recv.table.entries[frozenset()] == [1.0] * 4
+    # what the receiver derives from signals is not part of its policy
+    assert set(recv.to_json_dict()) == {
+        "kind", "introduction_mode", "alpha", "symbol_sender", "table"
+    }
+
+
 def test_generalist_erasing_introduction():
     recv = GeneralistReceiver(GAME, introduction_mode="erasing")
     recv.reinforce(("mA0", "mB0"), 0, 1.0)

@@ -11,6 +11,8 @@ import importlib.util
 from pathlib import Path
 
 from signalgames import agents, cli, engine, infotheory, reinforcement
+from signalgames.engine import ReplacementEvent, TrajectoryConfig
+from signalgames.game import make_two_sender_game
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -51,3 +53,27 @@ def test_tracer_patches_and_restores_call_sites():
             assert (cls, method) in names
     for owner, name, value in patched:
         assert vars(owner)[name] is value, f"{owner.__name__}.{name} not restored"
+
+
+def test_run_calls_step_through_module_once_per_turn(monkeypatch):
+    # The benchmark's choice digest wraps ``engine.step`` and hashes what it
+    # returns; a run loop that stopped calling it there would hash nothing.
+    step = engine.step
+    returned = []
+
+    def counting_step(*args):
+        result = step(*args)
+        returned.append(result)
+        return result
+
+    monkeypatch.setattr(engine, "step", counting_step)
+    config = TrajectoryConfig(
+        spec=make_two_sender_game(),
+        receiver_kind="generalist",
+        total_turns=300,
+        snapshot_every=100,
+        events=(ReplacementEvent(150, 1, "mB0", "mB?"),),
+    )
+    engine.run(config)
+    assert len(returned) == config.total_turns
+    assert all(len(signal) == 2 for _, signal, _, _ in returned)

@@ -371,6 +371,33 @@ def test_audit_fresh_symbol_in_use(tmp_path, capsys, events, replaced):
     assert f"fresh symbol '{replaced}?' is already in" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("receiver", ["conventional", "minimalist"])
+def test_audit_fresh_symbol_in_stale_urn(tmp_path, capsys, receiver):
+    # mB1? is retired at turn 3,000, but the receiver keeps the urns it
+    # learned for it; reading them as a fresh symbol's would report 1.886 bits
+    path = write_config(
+        tmp_path,
+        [
+            tiny_experiment(
+                receiver=receiver,
+                total_turns=4_000,
+                snapshot_every=1_000,
+                events=[
+                    {"turn": 2_000, "sender": 1, "old": "mB0", "new": "mB1?"},
+                    {"turn": 3_000, "sender": 1, "old": "mB1?", "new": "z"},
+                ],
+                num_runs=1,
+            )
+        ],
+    )
+    out = tmp_path / "dump"
+    assert main(["--config", str(path), "--no-plot", "--dump-policy", "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    policy = out / "tiny_policy.json"
+    assert main(["--audit", str(policy), "--replace", "mB1"]) == EXIT_CONFIG_ERROR
+    assert "fresh symbol 'mB1?' is already in a receiver urn" in capsys.readouterr().err
+
+
 def test_audit_cli_exit_code(tmp_path):
     policy = dump_tiny_policy(tmp_path)
     assert main(["--audit", str(policy), "--replace", "mB0"]) == EXIT_NON_COMPOSITIONAL

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from signalgames.reinforcement import (
+    BLOCK,
+    BlockUniforms,
     DegenerateContextError,
     ReinforcementTable,
     SymbolCollisionError,
@@ -117,6 +119,20 @@ def test_sample_weights_determinism():
     seq1 = [sample_weights([2.0, 1.0, 1.0], rng1) for _ in range(100)]
     seq2 = [sample_weights([2.0, 1.0, 1.0], rng2) for _ in range(100)]
     assert seq1 == seq2
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+def test_block_uniforms_match_scalar_draws_across_refills(seed):
+    # three refills and part of a fourth: a dropped or repeated value at a
+    # block boundary shifts every later draw
+    n = 3 * BLOCK + 7
+    uniforms, rng = BlockUniforms(make_rng(seed)), make_rng(seed)
+    assert [uniforms.random() for _ in range(n)] == [rng.random() for _ in range(n)]
+    uniforms, rng = BlockUniforms(make_rng(seed)), make_rng(seed)
+    weights = [2.0, 1.0, 0.5, 3.0]
+    assert [sample_weights(weights, uniforms) for _ in range(n)] == [
+        sample_weights(weights, rng) for _ in range(n)
+    ]
 
 
 def test_sample_weights_rejects_zero_mass():

@@ -20,6 +20,7 @@ from .game import CompoundSignal, GameSpec
 from .reinforcement import (
     ReinforcementTable,
     SymbolCollisionError,
+    fold_sum,
     items_from_json,
     items_to_json,
     sample_weights,
@@ -35,7 +36,7 @@ def tempered_softmax(scores: Sequence[float], temperature: float) -> list[float]
     top = max(scores)
     exp = math.exp
     exps = [exp((s - top) / temperature) for s in scores]
-    total = sum(exps)
+    total = fold_sum(exps)
     return [e / total for e in exps]
 
 
@@ -177,7 +178,7 @@ class MinimalistReceiver(Receiver):
     def naive_distribution(self, signal: CompoundSignal) -> list[float]:
         """The naive rule: summed scores normalized to probabilities."""
         scores = self.naive_scores(signal)
-        total = sum(scores)
+        total = fold_sum(scores)
         return [s / total for s in scores]
 
     def act_distribution(self, signal: CompoundSignal) -> list[float]:

@@ -9,6 +9,7 @@ run independent trajectories on consecutive seeds and aggregate by turn.
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -265,13 +266,88 @@ class BatchResult:
         raise KeyError(f"no aggregate row at turn {turn} phase {phase!r}")
 
 
+def _run_seeded(config: TrajectoryConfig) -> Trajectory:
+    """One run of a batch.  Workers get this module-level function, which
+    looks ``run`` up when it is called, so a wrapped ``run`` (the benchmark's
+    tracer installs a closure) need not be picklable."""
+    return run(config)
+
+
+def _exit_with_parent(parent: int) -> None:
+    """Worker initializer: end the worker once the batch's caller is gone.
+
+    A caller that is killed never joins its pool, and an idle worker would
+    wait on the call queue for ever, since its forked siblings hold the
+    queue's write end open.
+    """
+    import threading
+    import time
+
+    def watch():
+        while os.getppid() == parent:
+            time.sleep(0.5)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
+def _workers(num_runs: int) -> int:
+    """Processes for a batch; 1 runs it in-process.
+
+    One more than the usable CPUs: the runs are equal in length, so with
+    exactly one worker per CPU the last round of a 3-run batch on 2 CPUs
+    leaves a core idle.  A caller that is itself a ``multiprocessing`` child
+    runs its batch in-process: the callers are then already spread over the
+    CPUs, and a daemonic pool worker may not start processes at all.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        cpus = os.cpu_count() or 1
+    if cpus < 2 or num_runs == 1:
+        return 1
+    import multiprocessing
+
+    if multiprocessing.parent_process() is not None:
+        return 1
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    return min(num_runs, cpus + 1)
+
+
 def run_batch(config: TrajectoryConfig, num_runs: int) -> BatchResult:
-    """Run trajectories on seeds seed, seed+1, ... and aggregate by turn."""
+    """Run trajectories on seeds seed, seed+1, ... and aggregate by turn.
+
+    The runs are independent and each depends only on its config, so on a
+    machine with two or more usable CPUs they run in forked worker processes
+    and come back in seed order, the same as a loop in this process gives.
+    """
     if num_runs < 1:
         raise ValueError("num_runs must be at least 1")
-    trajectories = [
-        run(replace(config, seed=config.seed + i)) for i in range(num_runs)
-    ]
+    config.check()  # before any fork: EventError does not survive pickling
+    configs = [replace(config, seed=config.seed + i) for i in range(num_runs)]
+    workers = _workers(num_runs)
+    if workers == 1:
+        trajectories = list(map(_run_seeded, configs))
+    else:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # numpy 2 imports numpy.random on first use, which would otherwise
+        # happen again in every worker of every batch
+        import numpy.random
+
+        # "fork" stated, since Python 3.14 changes the default on Linux.  On
+        # an exception, ``map`` cancels the queued runs and ``with`` joins
+        # every worker before it propagates.
+        context = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(
+            workers,
+            mp_context=context,
+            initializer=_exit_with_parent,
+            initargs=(os.getpid(),),
+        ) as pool:
+            trajectories = list(pool.map(_run_seeded, configs))
     n_reports = len(trajectories[0].reports)
     aggregate = []
     for i in range(n_reports):

@@ -14,17 +14,16 @@ they do not depend on how numpy groups the terms of a long sum.
 
 from __future__ import annotations
 
-import functools
 import io
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .game import CompoundSignal, signal_label
+from .reinforcement import fold_sum
 
 NEG_INF = float("-inf")
 
@@ -36,7 +35,7 @@ NORM_TOL = 1e-9
 
 def ordered_sum(terms) -> float:
     """Left-to-right sum in C order; ``ndarray.sum`` pairs terms from 8 on."""
-    return functools.reduce(operator.add, np.ravel(terms).tolist(), 0.0)
+    return fold_sum(np.ravel(terms).tolist())
 
 
 def csv_cell(value: float) -> str:

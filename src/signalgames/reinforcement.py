@@ -8,7 +8,7 @@ driven by a seeded ``numpy`` generator so runs are reproducible bit-for-bit.
 
 from __future__ import annotations
 
-from typing import Hashable, Sequence
+from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 
@@ -22,6 +22,16 @@ class DegenerateContextError(ValueError):
 
 class SymbolCollisionError(ValueError):
     """A relabel or introduction would reuse an existing symbol."""
+
+
+def fold_sum(values: Iterable[float]) -> float:
+    """Left-to-right float sum, the same on every Python version: ``sum`` is
+    compensated from Python 3.12 on, so its totals there differ in the last
+    digit."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -81,7 +91,7 @@ class ReinforcementTable:
     def distribution(self, context: Hashable) -> list[float]:
         """Weights normalized to a probability vector (matching law)."""
         row = self.peek(context)
-        total = sum(row)
+        total = fold_sum(row)
         if total <= 0.0:
             raise DegenerateContextError(f"all-zero weights for context {context!r}")
         return [w / total for w in row]
@@ -155,7 +165,7 @@ class ReinforcementTable:
 def sample_weights(weights: Sequence[float], rng: np.random.Generator) -> int:
     """Draw an index with probability proportional to its weight, consuming
     one draw; the last index absorbs accumulated rounding."""
-    total = sum(weights)
+    total = fold_sum(weights)
     if total <= 0.0:
         raise DegenerateContextError("cannot sample from all-zero weights")
     r = rng.random() * total

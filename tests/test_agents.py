@@ -51,6 +51,15 @@ def test_softmax_example_value():
     assert max(abs(a - b) for a, b in zip(dist, expected)) < 1e-12
 
 
+def test_softmax_and_naive_totals_fold_left_to_right():
+    # A compensated sum (``sum`` from Python 3.12 on) keeps the two tiny terms
+    # and totals 1 + 2**-52; a left fold absorbs each into 1.0.
+    assert tempered_softmax([0.0, -36.84, -36.84], 1.0)[0] == 1.0
+    receiver = MinimalistReceiver(GAME, temperature=1.0)
+    receiver.table.entries["mA0"] = [1e16, 1.0, 1.0, 0.0]
+    assert receiver.naive_distribution(("mA0", None))[0] == 1.0
+
+
 def test_softmax_rejects_bad_input():
     with pytest.raises(ValueError):
         tempered_softmax([1.0, 2.0], 0.0)

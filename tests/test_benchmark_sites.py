@@ -8,6 +8,8 @@ block restores every attribute it touched.
 """
 
 import importlib.util
+import pickle
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from signalgames import agents, cli, engine, infotheory, reinforcement
@@ -77,3 +79,31 @@ def test_run_calls_step_through_module_once_per_turn(monkeypatch):
     engine.run(config)
     assert len(returned) == config.total_turns
     assert all(len(signal) == 2 for _, signal, _, _ in returned)
+
+
+def test_batch_workers_run_under_the_tracer(monkeypatch):
+    # The tracer replaces ``engine.run`` with a closure, which cannot be
+    # pickled; a pooled batch must still run, and give the untraced reports.
+    # The pool's task is pickled here first: on Python 3.11 a task that fails
+    # to pickle in the pool's feeder thread hangs the pool's shutdown.
+    pool_map = ProcessPoolExecutor.map
+
+    def pickling_map(self, fn, *iterables, **kwargs):
+        pickle.dumps(fn)
+        return pool_map(self, fn, *iterables, **kwargs)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "map", pickling_map)
+    monkeypatch.setattr(engine, "_workers", lambda num_runs: 2)
+    config = TrajectoryConfig(
+        spec=make_two_sender_game(),
+        receiver_kind="generalist",
+        total_turns=300,
+        snapshot_every=100,
+        events=(ReplacementEvent(150, 1, "mB0", "mB?"),),
+    )
+    expected = engine.run_batch(config, 3)
+    with load_spans().Tracer().installed():
+        traced = engine.run_batch(config, 3)
+    assert [[r.__dict__ for r in t.reports] for t in traced.trajectories] == [
+        [r.__dict__ for r in t.reports] for t in expected.trajectories
+    ]

@@ -1,8 +1,18 @@
 import json
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import time
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from signalgames import engine
 from signalgames.engine import (
     EventError,
     ReplacementEvent,
@@ -151,15 +161,15 @@ def urn_entries(senders, receiver):
     return [len(s.table.entries) for s in senders] + [len(receiver.table.entries)]
 
 
-@pytest.mark.parametrize(
-    "receiver",
-    [
-        dict(receiver_kind="conventional"),
-        dict(receiver_kind="minimalist"),
-        dict(receiver_kind="generalist", introduction_mode="erasing"),
-        dict(receiver_kind="generalist", introduction_mode="preserving"),
-    ],
-)
+RECEIVERS = [
+    dict(receiver_kind="conventional"),
+    dict(receiver_kind="minimalist"),
+    dict(receiver_kind="generalist", introduction_mode="erasing"),
+    dict(receiver_kind="generalist", introduction_mode="preserving"),
+]
+
+
+@pytest.mark.parametrize("receiver", RECEIVERS)
 def test_snapshot_leaves_policies_unchanged(receiver):
     fresh_senders, fresh_receiver = build_agents(small_config(**receiver))
     event = ReplacementEvent(300, 1, "mB0", "mB?")
@@ -212,3 +222,153 @@ def test_config_accepts_chained_events():
     trajectory = run(small_config(total_turns=300, events=events))
     assert trajectory.senders[1].alphabet == ["mB!", "mB1"]
     assert trajectory.senders[0].alphabet == ["mA0", "mA?"]
+
+
+# -- batches run in worker processes ----------------------------------------
+
+
+@pytest.fixture
+def two_workers(monkeypatch):
+    """Take the pooled path whatever the host's CPU count."""
+    monkeypatch.setattr(engine, "_workers", lambda num_runs: 2)
+
+
+def test_batch_worker_count(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert engine._workers(20) == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert engine._workers(1) == 1
+    assert engine._workers(2) == 2
+    assert engine._workers(20) == 3
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    assert engine._workers(20) == 1
+
+
+@pytest.mark.parametrize("receiver", RECEIVERS)
+def test_run_batch_in_workers_matches_serial_runs(two_workers, receiver):
+    config = small_config(
+        total_turns=600,
+        snapshot_every=100,
+        seed=4,
+        events=(ReplacementEvent(300, 1, "mB0", "mB?"),),
+        **receiver,
+    )
+    batch = run_batch(config, 3)
+    serial = [run(replace(config, seed=config.seed + i)) for i in range(3)]
+    for pooled, expected in zip(batch.trajectories, serial, strict=True):
+        assert pooled.config == expected.config
+        assert [r.__dict__ for r in pooled.reports] == [r.__dict__ for r in expected.reports]
+        assert pooled.event_snapshots.keys() == expected.event_snapshots.keys()
+        for key, snapshot in expected.event_snapshots.items():
+            for field in fields(snapshot):
+                np.testing.assert_array_equal(
+                    getattr(pooled.event_snapshots[key], field.name),
+                    getattr(snapshot, field.name),
+                )
+        assert policy_state(pooled.senders, pooled.receiver) == policy_state(
+            expected.senders, expected.receiver
+        )
+
+
+def test_run_batch_rejects_bad_events_before_forking(two_workers):
+    # EventError cannot cross back from a worker, so the parent checks first
+    config = small_config(events=(ReplacementEvent(100, 2, "mB0", "mB?"),))
+    with pytest.raises(EventError) as err:
+        run_batch(config, 3)
+    assert err.value.index == 0
+
+
+def test_batch_workers_do_not_outlive_the_call(two_workers, monkeypatch):
+    config = small_config(total_turns=200, snapshot_every=100)
+    run_batch(config, 3)
+    assert multiprocessing.active_children() == []
+
+    def failing_step(*args):
+        raise RuntimeError("step failed")
+
+    monkeypatch.setattr(engine, "step", failing_step)  # fork carries the patch
+    with pytest.raises(RuntimeError, match="step failed"):
+        run_batch(config, 3)
+    assert multiprocessing.active_children() == []
+
+
+def batch_reports(config):
+    """The worker count and reports of a 3-run batch, in plain values."""
+    reports = [[r.__dict__ for r in t.reports] for t in run_batch(config, 3).trajectories]
+    return engine._workers(3), reports
+
+
+@pytest.mark.parametrize("outer", ["Pool", "ProcessPoolExecutor"])
+def test_run_batch_in_a_pool_worker_runs_in_process(monkeypatch, outer):
+    # A daemonic Pool worker may not start processes; a ProcessPoolExecutor
+    # worker may, but (cpus + 1) pools of (cpus + 1) workers oversubscribe.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})  # fork carries it
+    config = small_config(total_turns=300, snapshot_every=100)
+    context = multiprocessing.get_context("fork")
+    if outer == "Pool":
+        with context.Pool(1) as pool:
+            workers, reports = pool.apply(batch_reports, (config,))
+    else:
+        with ProcessPoolExecutor(1, mp_context=context) as pool:
+            workers, reports = pool.submit(batch_reports, config).result()
+    assert workers == 1
+    serial = [run(replace(config, seed=config.seed + i)) for i in range(3)]
+    assert reports == [[r.__dict__ for r in t.reports] for t in serial]
+
+
+KILLED_CALLER = """
+import os, sys, time
+from signalgames import engine
+from signalgames.game import make_two_sender_game
+
+def record_and_wait(config):
+    with open(sys.argv[1], "a") as out:
+        out.write(f"{os.getpid()}\\n")
+    time.sleep(60)
+
+engine._run_seeded = record_and_wait
+engine._workers = lambda num_runs: 2
+config = engine.TrajectoryConfig(
+    spec=make_two_sender_game(), receiver_kind="conventional", total_turns=100, snapshot_every=50
+)
+engine.run_batch(config, 2)
+"""
+
+
+def running(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:  # an orphan that exited is a zombie until its new parent reaps it
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads process states from /proc")
+def test_batch_workers_exit_when_the_caller_is_killed(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    pids_file = tmp_path / "workers"
+    caller = subprocess.Popen([sys.executable, "-c", KILLED_CALLER, str(pids_file)], env=env)
+    pids = []
+    try:
+        deadline = time.monotonic() + 30
+        while len(pids) < 2 and time.monotonic() < deadline:
+            time.sleep(0.05)
+            if pids_file.exists():
+                pids = [int(line) for line in pids_file.read_text().split()]
+        assert len(pids) == 2, "the workers did not start"
+        caller.send_signal(signal.SIGKILL)  # no chance to join its pool
+        caller.wait()
+        deadline = time.monotonic() + 10
+        while any(map(running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(running, pids))
+    finally:
+        caller.kill()
+        caller.wait()
+        for pid in filter(running, pids):
+            os.kill(pid, signal.SIGKILL)

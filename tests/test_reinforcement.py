@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from signalgames.reinforcement import (
     DegenerateContextError,
     ReinforcementTable,
     SymbolCollisionError,
+    fold_sum,
     make_rng,
     sample_weights,
 )
@@ -147,3 +150,31 @@ def test_sample_guard_on_rounding():
         idx = sample_weights([0.3, 0.3, 0.3999999999], rng)
         assert 0 <= idx <= 2
     assert math.isclose(sum([0.3, 0.3, 0.3999999999]), 1.0, abs_tol=1e-9)
+
+
+class FixedDraw:
+    """An ``rng`` whose every draw is ``value``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self):
+        return self.value
+
+
+def test_totals_fold_left_to_right():
+    rng = make_rng(12)
+    for _ in range(200):
+        n = int(rng.integers(1, 9))
+        row = (rng.random(n) * 10.0 ** rng.integers(-3, 17, n)).tolist()  # mixed scales
+        assert fold_sum(row) == functools.reduce(operator.add, row, 0.0)
+    # A left fold absorbs each 1.0 into 1e16; a compensated sum (``sum`` from
+    # Python 3.12 on) totals this row as 1e16 + 2.
+    row = [1e16, 1.0, 1.0]
+    assert fold_sum(row) == 1e16
+    table = ReinforcementTable(["a", "b", "c"])
+    table.entries["x"] = row
+    assert table.distribution("x")[0] == 1.0
+    # the draw lands just under the total: under 1e16 (index 0) only when the
+    # total is 1e16
+    assert sample_weights(row, FixedDraw(1 - 2**-53)) == 0

@@ -45,6 +45,16 @@ REPORT_BITS_DIGESTS = {
     "generalist_preserving": "edc652830e068f70321fa4427679c314f999645c6b439feaa6146586b5fca7ba",
 }
 
+# SHA-256 of <name>_aggregate.csv at 20 runs (the figures' batch size) x
+# 1,000 turns, event at turn 500, snapshot_every 100, seed 0.  From 9 runs on,
+# numpy's mean and std sum pairwise, so these pin that summation order too.
+AGGREGATE_CSV_DIGESTS = {
+    "conventional": "36fcd0d05589a2af6eac8a3dbaf41da8301144402a586d3ba50e060a9d6dc193",
+    "minimalist": "652a547b929ca9792a8b24c512f804d0e4cf58b600f06b8853e8328274afaa2a",
+    "generalist_erasing": "36fcd0d05589a2af6eac8a3dbaf41da8301144402a586d3ba50e060a9d6dc193",
+    "generalist_preserving": "a3de4c45cc250557e1f59a02b281f95295b809bf27de08e21d76d1a83987ff4e",
+}
+
 # SHA-256 of the "state,signal,act" lines of one 5,000-turn run, event at
 # turn 2,500, seed 0.
 CHOICE_DIGESTS = {
@@ -97,6 +107,15 @@ def test_runs_csv_digest(tmp_path, kind):
     assert cli.main(["--config", str(path), "--out", str(out), "--no-plot"]) == cli.EXIT_OK
     (csv,) = out.glob("*_runs.csv")
     assert hashlib.sha256(csv.read_bytes()).hexdigest() == RUNS_CSV_DIGESTS[kind]
+
+
+@pytest.mark.parametrize("kind", sorted(FIGURE_CONFIGS))
+def test_aggregate_csv_digest(tmp_path, kind):
+    path = scaled_config(tmp_path, kind, turns=1_000, runs=20, snapshot_every=100)
+    out = tmp_path / "out"
+    assert cli.main(["--config", str(path), "--out", str(out), "--no-plot"]) == cli.EXIT_OK
+    (csv,) = out.glob("*_aggregate.csv")
+    assert hashlib.sha256(csv.read_bytes()).hexdigest() == AGGREGATE_CSV_DIGESTS[kind]
 
 
 @pytest.mark.parametrize("kind", sorted(FIGURE_CONFIGS))

@@ -21,8 +21,6 @@ from .reinforcement import (
     ReinforcementTable,
     SymbolCollisionError,
     fold_sum,
-    items_from_json,
-    items_to_json,
     sample_weights,
 )
 
@@ -43,10 +41,10 @@ def tempered_softmax(scores: Sequence[float], temperature: float) -> list[float]
 class Sender:
     """One sender: an urn per state, balls labeled with this sender's symbols."""
 
-    def __init__(self, spec: GameSpec, sender_index: int, initial_weight: float = 1.0):
+    def __init__(self, spec: GameSpec, sender_index: int):
         self.sender_index = sender_index
         self.num_states = spec.num_states
-        self.table = ReinforcementTable(list(spec.sender_alphabets[sender_index]), initial_weight)
+        self.table = ReinforcementTable(list(spec.sender_alphabets[sender_index]))
 
     @property
     def alphabet(self) -> list[str]:
@@ -103,7 +101,7 @@ class Receiver:
 
     def to_json_dict(self) -> dict:
         data = {name: getattr(self, name) for name in self.params}
-        data.update((name, items_to_json(getattr(self, name))) for name in self.state)
+        data.update((name, dict(getattr(self, name))) for name in self.state)
         data.update(kind=self.kind, table=self.table.to_json_dict())
         return data
 
@@ -117,9 +115,8 @@ class ConventionalReceiver(Receiver):
 
     kind = "conventional"
 
-    def __init__(self, spec: GameSpec, initial_weight: float = 1.0):
-        self.num_acts = spec.num_acts
-        self.table = ReinforcementTable(list(range(spec.num_acts)), initial_weight)
+    def __init__(self, spec: GameSpec):
+        self.table = ReinforcementTable(list(range(spec.num_acts)))
 
     def act_distribution(self, signal: CompoundSignal) -> list[float]:
         return self.table.distribution(tuple(signal))
@@ -233,7 +230,6 @@ class GeneralistReceiver(Receiver):
         spec: GameSpec,
         introduction_mode: str = "erasing",
         alpha: float = 1.0,
-        initial_weight: float = 1.0,
     ):
         if introduction_mode not in ("erasing", "preserving"):
             raise ValueError(f"unknown introduction mode {introduction_mode!r}")
@@ -246,7 +242,7 @@ class GeneralistReceiver(Receiver):
         self.symbol_sender: dict[str, int] = {
             m: i for i, alphabet in enumerate(spec.sender_alphabets) for m in alphabet
         }
-        self.table = ReinforcementTable(list(range(spec.num_acts)), initial_weight)
+        self.table = ReinforcementTable(list(range(spec.num_acts)))
         # signal -> (full combination, non-empty sub-combinations); derived from
         # the signal alone, so it needs no invalidation and is never dumped
         self._contexts: dict[CompoundSignal, tuple[frozenset, tuple[frozenset, ...]]] = {}
@@ -339,6 +335,6 @@ def receiver_from_json_dict(spec: GameSpec, data: dict) -> Receiver:
     """The receiver that ``Receiver.to_json_dict`` wrote as ``data``."""
     receiver = make_receiver(spec, data["kind"], **data)
     for name in receiver.state:
-        setattr(receiver, name, items_from_json(data[name]))
+        setattr(receiver, name, dict(data[name]))  # pair lists of older files too
     receiver.table = ReinforcementTable.from_json_dict(data["table"])
     return receiver

@@ -11,12 +11,14 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
 
 from .agents import Sender, receiver_from_json_dict
 from .engine import (
+    METRICS,
+    AggregateRow,
     BatchResult,
     EventError,
     ReplacementEvent,
@@ -63,26 +65,33 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 # config parsing
 
-# JSON key -> (field, JSON type) for the TrajectoryConfig and ExperimentConfig
-# fields a config may set; a key that is absent takes the field's default
-_TRAJECTORY_FIELDS = {
-    "receiver": ("receiver_kind", "a string"),
-    "temperature": ("temperature", "a finite number"),
-    "normalized_scores": ("normalized_scores", "a boolean"),
-    "introduction_mode": ("introduction_mode", "a string"),
-    "alpha": ("alpha", "a finite number"),
-    "total_turns": ("total_turns", "an integer"),
-    "events": ("events", "a list"),
-    "snapshot_every": ("snapshot_every", "an integer"),
-    "seed": ("seed", "an integer"),
-}
-_EXPERIMENT_FIELDS = {
-    "num_runs": ("num_runs", "an integer"),
-    "plot": ("plot", "a boolean"),
-    "comment": ("comment", "a string"),
-}
+# JSON keys that differ from the field names they set
+_ALIASES = {"receiver_kind": "receiver", "normalized": "normalized_scores"}
+
+
+def _settable(cls) -> dict:
+    """JSON key -> (field, type of its default) for each field of ``cls`` a
+    config may set: those with a default, which an absent key keeps."""
+    return {
+        _ALIASES.get(f.name, f.name): (f.name, type(f.default))
+        for f in fields(cls)
+        if f.default is not MISSING
+    }
+
+
+_TRAJECTORY_FIELDS = _settable(TrajectoryConfig)
+_EXPERIMENT_FIELDS = _settable(ExperimentConfig)
 _EXPERIMENT_KEYS = {"name", "game"} | set(_TRAJECTORY_FIELDS) | set(_EXPERIMENT_FIELDS)
 _EVENT_KEYS = {"turn", "sender", "old", "new"}
+
+# what a config file must hold for a field of each type
+_KINDS = {
+    int: "an integer",
+    float: "a finite number",
+    bool: "a boolean",
+    str: "a string",
+    tuple: "a list",
+}
 
 
 def _require(condition: bool, where: str, message: str) -> None:
@@ -95,32 +104,24 @@ def _reject_unknown(unknown: set, where: str) -> None:
         raise ConfigError(f"{where}: unknown key {sorted(unknown)[0]!r}")
 
 
-_TYPES = {
-    "an integer": int,
-    "a finite number": (int, float),
-    "a boolean": bool,
-    "a string": str,
-    "a list": list,
-}
-
-
-def _field(data: dict, key: str, kind: str, where: str):
-    """``data[key]``, which must be of ``kind``; numbers come back as floats."""
+def _field(data: dict, key: str, kind: type, where: str):
+    """``data[key]``, which must be JSON for a ``kind`` field: a list for a
+    tuple, any finite number for a float (returned as a float)."""
     value = data[key]
-    is_bool = isinstance(value, bool)
-    ok = isinstance(value, _TYPES[kind]) and (is_bool == (kind == "a boolean"))
-    if ok and kind == "a finite number":
+    json_kind = {float: (int, float), tuple: list}.get(kind, kind)
+    ok = isinstance(value, json_kind) and isinstance(value, bool) == (kind is bool)
+    if ok and kind is float:
         value = float(value)  # json reads NaN and Infinity as floats
         ok = math.isfinite(value)
-    _require(ok, f"{where}.{key}", f"must be {kind}, not {json.dumps(value)}")
+    _require(ok, f"{where}.{key}", f"must be {_KINDS[kind]}, not {json.dumps(value)}")
     return value
 
 
-def _fields(data: dict, fields: dict, where: str) -> dict:
-    """The keys of ``fields`` present in ``data``, checked, by field name."""
+def _fields(data: dict, schema: dict, where: str) -> dict:
+    """The keys of ``schema`` present in ``data``, checked, by field name."""
     return {
         name: _field(data, key, kind, where)
-        for key, (name, kind) in fields.items()
+        for key, (name, kind) in schema.items()
         if key in data
     }
 
@@ -149,10 +150,10 @@ def _parse_event(data, where: str) -> ReplacementEvent:
     for key in sorted(_EVENT_KEYS):
         _require(key in data, where, f"missing key {key!r}")
     return ReplacementEvent(
-        turn=_field(data, "turn", "an integer", where),
-        sender_index=_field(data, "sender", "an integer", where),
-        old_symbol=_field(data, "old", "a string", where),
-        new_symbol=_field(data, "new", "a string", where),
+        turn=_field(data, "turn", int, where),
+        sender_index=_field(data, "sender", int, where),
+        old_symbol=_field(data, "old", str, where),
+        new_symbol=_field(data, "new", str, where),
     )
 
 
@@ -201,10 +202,10 @@ def _with_overrides(exp: ExperimentConfig, seed: Optional[int], runs: Optional[i
 def parse_config(path) -> list[ExperimentConfig]:
     """Load and validate a config file; unknown keys are rejected."""
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"{path}: no such file")
     try:
         document = json.loads(path.read_text())
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: cannot read config file ({exc})") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -230,30 +231,21 @@ def parse_config(path) -> list[ExperimentConfig]:
 
 
 def _runs_csv(batch: BatchResult) -> str:
-    lines = ["run_id,turn,phase,expected_payoff,sender_info_bits,receiver_info_bits"]
+    lines = [",".join(("run_id", "turn", "phase") + METRICS)]
     for run_id, trajectory in enumerate(batch.trajectories):
         for report in trajectory.reports:
-            lines.append(
-                f"{run_id},{report.turn},{report.phase},"
-                f"{csv_cell(report.expected_payoff)},"
-                f"{csv_cell(report.sender_info_bits)},"
-                f"{csv_cell(report.receiver_info_bits)}"
-            )
+            cells = [csv_cell(getattr(report, metric)) for metric in METRICS]
+            lines.append(",".join([str(run_id), str(report.turn), report.phase, *cells]))
     return "\r\n".join(lines) + "\r\n"
 
 
 def _aggregate_csv(batch: BatchResult) -> str:
-    lines = [
-        "turn,phase,mean_payoff,std_payoff,mean_sender_info,std_sender_info,"
-        "mean_receiver_info,std_receiver_info"
-    ]
+    columns = [f.name for f in fields(AggregateRow)]
+    lines = [",".join(columns)]
     for row in batch.aggregate:
-        lines.append(
-            f"{row.turn},{row.phase},{csv_cell(row.mean_payoff)},"
-            f"{csv_cell(row.std_payoff)},{csv_cell(row.mean_sender_info)},"
-            f"{csv_cell(row.std_sender_info)},{csv_cell(row.mean_receiver_info)},"
-            f"{csv_cell(row.std_receiver_info)}"
-        )
+        # after turn and phase, a mean and a std per metric
+        cells = [csv_cell(getattr(row, column)) for column in columns[2:]]
+        lines.append(",".join([str(row.turn), row.phase, *cells]))
     return "\r\n".join(lines) + "\r\n"
 
 
@@ -272,7 +264,9 @@ def _plot_svg(exp: ExperimentConfig, batch: BatchResult) -> str:
     xs = [row.turn for row in batch.aggregate]
     ys = [row.mean_receiver_info for row in batch.aggregate]
     return line_chart(
-        [("mean receiver info", xs, ys)],
+        "mean receiver info",
+        xs,
+        ys,
         title=exp.name,
         xlabel="turn",
         ylabel="average information (bits)",
@@ -324,7 +318,7 @@ def load_policy(path) -> tuple[GameSpec, PolicySnapshot, list[Sender], object]:
     """Rebuild agents from a --dump-policy file and snapshot their policies."""
     try:
         document = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"{path}: cannot read policy file ({exc})") from exc
     try:
         spec = GameSpec.from_json_dict(document["game"])
@@ -332,9 +326,9 @@ def load_policy(path) -> tuple[GameSpec, PolicySnapshot, list[Sender], object]:
             Sender.from_json_dict(spec, data) for data in document["senders"]
         ]
         receiver = receiver_from_json_dict(spec, document["receiver"])
+        snapshot = take_snapshot(spec, senders, receiver)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: malformed policy file ({exc})") from exc
-    snapshot = take_snapshot(spec, senders, receiver)
     return spec, snapshot, senders, receiver
 
 
@@ -359,6 +353,8 @@ def audit_command(
     """Compare actual post-replacement information against the compositional
     expectation; returns the exit code."""
     out = sys.stdout if out is None else out
+    if not 0.0 <= threshold < math.inf:
+        raise ConfigError(f"--threshold: must be finite and at least 0, not {threshold}")
     spec, pre_snapshot, senders, receiver = load_policy(policy_path)
     symbols = [m for a in pre_snapshot.sender_alphabets for m in a]
     if replaced_symbol not in symbols:

@@ -51,7 +51,7 @@ class TrajectoryConfig:
     spec: GameSpec
     receiver_kind: str = "conventional"
     temperature: float = 2000.0
-    normalized_scores: bool = False
+    normalized: bool = False
     introduction_mode: str = "erasing"
     alpha: float = 1.0
     total_turns: int = 100_000
@@ -103,6 +103,10 @@ class TrajectoryConfig:
             alphabet[alphabet.index(event.old_symbol)] = event.new_symbol
 
 
+# The metric fields of InfoReport, in the order the CSVs write them.
+METRICS = ("expected_payoff", "sender_info_bits", "receiver_info_bits")
+
+
 @dataclass
 class InfoReport:
     """One metric record; phase is 'regular', or 'pre'/'post' at an event."""
@@ -125,17 +129,11 @@ class Trajectory:
 
 
 def build_agents(config: TrajectoryConfig) -> tuple[list[Sender], Receiver]:
+    """The senders and the receiver, which takes the config fields its
+    constructor names."""
     spec = config.spec
     senders = [Sender(spec, i) for i in range(spec.num_senders)]
-    receiver = make_receiver(
-        spec,
-        config.receiver_kind,
-        temperature=config.temperature,
-        normalized=config.normalized_scores,
-        introduction_mode=config.introduction_mode,
-        alpha=config.alpha,
-    )
-    return senders, receiver
+    return senders, make_receiver(spec, config.receiver_kind, **vars(config))
 
 
 def step(
@@ -244,6 +242,8 @@ def run(config: TrajectoryConfig) -> Trajectory:
 
 @dataclass
 class AggregateRow:
+    """Mean and standard deviation over a batch's runs of each of ``METRICS``."""
+
     turn: int
     phase: str
     mean_payoff: float
@@ -348,23 +348,13 @@ def run_batch(config: TrajectoryConfig, num_runs: int) -> BatchResult:
             initargs=(os.getpid(),),
         ) as pool:
             trajectories = list(pool.map(_run_seeded, configs))
-    n_reports = len(trajectories[0].reports)
-    aggregate = []
-    for i in range(n_reports):
-        slot = [t.reports[i] for t in trajectories]
-        payoff = np.array([r.expected_payoff for r in slot])
-        sender = np.array([r.sender_info_bits for r in slot])
-        recv = np.array([r.receiver_info_bits for r in slot])
-        aggregate.append(
-            AggregateRow(
-                turn=slot[0].turn,
-                phase=slot[0].phase,
-                mean_payoff=float(payoff.mean()),
-                std_payoff=float(payoff.std()),
-                mean_sender_info=float(sender.mean()),
-                std_sender_info=float(sender.std()),
-                mean_receiver_info=float(recv.mean()),
-                std_receiver_info=float(recv.std()),
-            )
-        )
+    # (report, metric, run): reducing the contiguous last axis sums each
+    # metric's runs in the order a 1-D array of them would
+    reports = [t.reports for t in trajectories]
+    values = np.array([[[getattr(r, m) for r in slot] for m in METRICS] for slot in zip(*reports)])
+    stats = np.stack([values.mean(axis=-1), values.std(axis=-1)], axis=-1)
+    aggregate = [
+        AggregateRow(report.turn, report.phase, *row)
+        for report, row in zip(reports[0], stats.reshape(len(values), -1).tolist())
+    ]
     return BatchResult(trajectories=trajectories, aggregate=aggregate)

@@ -61,7 +61,8 @@ class GameSpec:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "GameSpec":
-        return cls(
+        """The spec ``data`` describes; ``InvalidSpecError`` unless it is valid."""
+        spec = cls(
             num_states=int(data["num_states"]),
             sender_alphabets=tuple(
                 tuple(str(m) for m in a) for a in data["sender_alphabets"]
@@ -70,6 +71,7 @@ class GameSpec:
             state_prior=tuple(float(p) for p in data["state_prior"]),
             utility=tuple(tuple(float(u) for u in row) for row in data["utility"]),
         )
+        return _check(spec)
 
 
 def validate(spec: GameSpec) -> list[str]:
@@ -80,8 +82,8 @@ def validate(spec: GameSpec) -> list[str]:
         problems.append(
             f"state_prior has length {prior.shape[0]}, expected {spec.num_states}"
         )
-    if np.any(prior < 0):
-        problems.append("state_prior has negative entries")
+    if not (np.isfinite(prior).all() and (prior > 0).all()):
+        problems.append("state_prior entries must be finite and positive")
     if abs(float(prior.sum()) - 1.0) > PRIOR_TOL:
         problems.append(f"state_prior sums to {float(prior.sum())!r}, not 1")
     for i, alphabet in enumerate(spec.sender_alphabets):
@@ -96,6 +98,8 @@ def validate(spec: GameSpec) -> list[str]:
             f"utility has shape {utility.shape}, expected "
             f"{(spec.num_states, spec.num_acts)}"
         )
+    if not (np.isfinite(utility).all() and (utility >= 0).all()):
+        problems.append("utility entries must be finite and non-negative")
     return problems
 
 

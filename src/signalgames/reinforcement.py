@@ -8,6 +8,7 @@ driven by a seeded ``numpy`` generator so runs are reproducible bit-for-bit.
 
 from __future__ import annotations
 
+import math
 from typing import Hashable, Iterable, Sequence
 
 import numpy as np
@@ -70,6 +71,8 @@ class ReinforcementTable:
     def __init__(self, options: Sequence[Hashable], initial_weight: float = 1.0):
         if not options:
             raise ValueError("option set must be non-empty")
+        if not 0.0 <= initial_weight < math.inf:
+            raise ValueError(f"initial weight {initial_weight} is not finite and non-negative")
         self.options = list(options)
         self.position = {option: i for i, option in enumerate(self.options)}
         self.initial_weight = float(initial_weight)
@@ -154,11 +157,21 @@ class ReinforcementTable:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ReinforcementTable":
-        table = cls([_key_from_json(o) for o in data["options"]], data["initial_weight"])
+        """The table ``to_json_dict`` wrote; ``ValueError`` unless its options
+        are distinct and each row holds one finite, non-negative weight per
+        option."""
+        options = [_key_from_json(o) for o in data["options"]]
+        if len(set(options)) != len(options):
+            raise ValueError(f"options {data['options']} are not distinct")
+        table = cls(options, data["initial_weight"])
         for entry in data["entries"]:
-            table.entries[_key_from_json(entry["context"])] = [
-                float(w) for w in entry["weights"]
-            ]
+            row = [float(w) for w in entry["weights"]]
+            if len(row) != len(options) or not all(0.0 <= w < math.inf for w in row):
+                raise ValueError(
+                    f"context {entry['context']} needs one finite, non-negative weight "
+                    f"per option, not {entry['weights']}"
+                )
+            table.entries[_key_from_json(entry["context"])] = row
         return table
 
 
@@ -186,10 +199,6 @@ def items_to_json(mapping: dict) -> list[list]:
     hashing and a dump is the same in every process.
     """
     return sorted(([_key_to_json(k), v] for k, v in mapping.items()), key=lambda kv: repr(kv[0]))
-
-
-def items_from_json(pairs) -> dict:
-    return {_key_from_json(k): v for k, v in pairs}
 
 
 def _key_to_json(key: Hashable):

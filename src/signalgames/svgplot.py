@@ -8,7 +8,7 @@ directly as SVG text: same inputs, same bytes, no plotting backend.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Sequence
 
 WIDTH = 720
 HEIGHT = 480
@@ -17,7 +17,7 @@ MARGIN_RIGHT = 20
 MARGIN_TOP = 40
 MARGIN_BOTTOM = 55
 
-LINE_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
+LINE_COLOR = "#1f77b4"
 
 
 def _fmt(value: float) -> str:
@@ -51,26 +51,24 @@ def _tick_label(value: float) -> str:
 
 
 def line_chart(
-    series: Sequence[tuple[str, Sequence[float], Sequence[float]]],
+    name: str,
+    xs: Sequence[float],
+    ys: Sequence[float],
     title: str = "",
     xlabel: str = "turn",
     ylabel: str = "bits",
     vlines: Sequence[float] = (),
-    y_floor: Optional[float] = 0.0,
 ) -> str:
-    """Render named (x, y) series as an SVG document string.
+    """Render one named (x, y) line as an SVG document string.
 
-    ``vlines`` draws dashed vertical markers (event turns).  ``y_floor``
-    forces the y-axis to include that value (default 0).
+    The y-axis always includes 0.  ``vlines`` draws dashed vertical markers
+    (event turns).
     """
-    xs_all = [x for _, xs, _ in series for x in xs]
-    ys_all = [y for _, _, ys in series for y in ys if math.isfinite(y)]
-    if not xs_all or not ys_all:
+    ys_finite = [y for y in ys if math.isfinite(y)]
+    if not xs or not ys_finite:
         raise ValueError("line_chart needs at least one finite point")
-    x_lo, x_hi = min(xs_all), max(xs_all)
-    y_lo, y_hi = min(ys_all), max(ys_all)
-    if y_floor is not None:
-        y_lo = min(y_lo, y_floor)
+    x_lo, x_hi = min(xs), max(xs)
+    y_lo, y_hi = min(min(ys_finite), 0.0), max(ys_finite)
     if x_hi <= x_lo:
         x_hi = x_lo + 1.0
     if y_hi <= y_lo:
@@ -127,28 +125,23 @@ def line_chart(
                 f'stroke-dasharray="6,4"/>'
             )
     # data
-    for i, (name, xs, ys) in enumerate(series):
-        color = LINE_COLORS[i % len(LINE_COLORS)]
-        points = " ".join(
-            f"{_fmt(px(x))},{_fmt(py(y))}"
-            for x, y in zip(xs, ys)
-            if math.isfinite(y)
-        )
-        out.append(
-            f'<polyline points="{points}" fill="none" stroke="{color}" '
-            f'stroke-width="1.5"/>'
-        )
-        if name:
-            y_leg = MARGIN_TOP + 16 + 16 * i
-            x_leg = MARGIN_LEFT + 10
-            out.append(
-                f'<line x1="{x_leg}" y1="{y_leg - 4}" x2="{x_leg + 24}" '
-                f'y2="{y_leg - 4}" stroke="{color}" stroke-width="1.5"/>'
-            )
-            out.append(
-                f'<text x="{x_leg + 30}" y="{y_leg}" font-size="12" '
-                f'font-family="sans-serif">{name}</text>'
-            )
+    points = " ".join(
+        f"{_fmt(px(x))},{_fmt(py(y))}" for x, y in zip(xs, ys) if math.isfinite(y)
+    )
+    out.append(
+        f'<polyline points="{points}" fill="none" stroke="{LINE_COLOR}" '
+        f'stroke-width="1.5"/>'
+    )
+    y_leg = MARGIN_TOP + 16
+    x_leg = MARGIN_LEFT + 10
+    out.append(
+        f'<line x1="{x_leg}" y1="{y_leg - 4}" x2="{x_leg + 24}" '
+        f'y2="{y_leg - 4}" stroke="{LINE_COLOR}" stroke-width="1.5"/>'
+    )
+    out.append(
+        f'<text x="{x_leg + 30}" y="{y_leg}" font-size="12" '
+        f'font-family="sans-serif">{name}</text>'
+    )
     # labels
     if title:
         out.append(

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import pytest
@@ -11,11 +12,13 @@ from signalgames.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_NON_COMPOSITIONAL,
     EXIT_OK,
+    ExperimentConfig,
     audit_command,
     load_policy,
     main,
     parse_config,
 )
+from signalgames.engine import TrajectoryConfig
 from signalgames.svgplot import line_chart
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -129,6 +132,26 @@ def test_run_rejects_bad_event(tmp_path, capsys, case):
     assert not out.exists()  # rejected before the first turn
 
 
+# JSON key -> (a value a config may give, the field it sets, that field's
+# value, a wrongly typed value), for every setting a config file can make
+SETTINGS = {
+    "receiver": ("minimalist", "trajectory.receiver_kind", "minimalist", 1),
+    "temperature": (50, "trajectory.temperature", 50.0, "hot"),
+    "normalized_scores": (True, "trajectory.normalized", True, 1),
+    "introduction_mode": ("preserving", "trajectory.introduction_mode", "preserving", None),
+    "alpha": (2, "trajectory.alpha", 2.0, True),
+    "total_turns": (300, "trajectory.total_turns", 300, 300.0),
+    "events": ([], "trajectory.events", (), {}),
+    "snapshot_every": (50, "trajectory.snapshot_every", 50, "50"),
+    "seed": (7, "trajectory.seed", 7, 1.5),
+    "num_runs": (3, "num_runs", 3, True),
+    "plot": (False, "plot", False, 0),
+    "comment": ("why", "comment", "why", ["why"]),
+}
+# the settings whose wrongly typed value no case below names already
+WRONGLY_TYPED = sorted(set(SETTINGS) - {"temperature", "seed"})
+
+
 @pytest.mark.parametrize(
     "overrides, key_path",
     [
@@ -141,8 +164,10 @@ def test_run_rejects_bad_event(tmp_path, capsys, case):
             {"events": [{"turn": "5", "sender": 1, "old": "mB0", "new": "mB?"}]},
             "experiments[0].events[0].turn",
         ),
-    ],
-    ids=["temperature", "temperature-nan", "alpha-infinite", "seed", "event-turn"],
+    ]
+    + [({key: SETTINGS[key][3]}, f"experiments[0].{key}") for key in WRONGLY_TYPED],
+    ids=["temperature", "temperature-nan", "alpha-infinite", "seed", "event-turn"]
+    + WRONGLY_TYPED,
 )
 def test_run_rejects_wrongly_typed_field(tmp_path, capsys, overrides, key_path):
     path = write_config(tmp_path, [tiny_experiment(**overrides)])
@@ -186,6 +211,63 @@ def test_run_rejects_bad_override(tmp_path, capsys, flags, message):
     out = tmp_path / "out"
     assert main(["--config", str(path), "--out", str(out)] + flags) == EXIT_CONFIG_ERROR
     assert message in capsys.readouterr().err
+    assert not out.exists()  # rejected before the first turn
+
+
+def test_settings_cover_every_settable_field():
+    settable = {
+        f.name
+        for cls in (TrajectoryConfig, ExperimentConfig)
+        for f in fields(cls)
+        if f.default is not MISSING
+    }
+    assert {path.split(".")[-1] for _, path, _, _ in SETTINGS.values()} == settable
+
+
+@pytest.mark.parametrize("key", sorted(SETTINGS))
+def test_parse_accepts_setting(tmp_path, key):
+    value, path, expected, _ = SETTINGS[key]
+    (exp,) = parse_config(write_config(tmp_path, [tiny_experiment(**{key: value})]))
+    parsed = exp
+    for name in path.split("."):
+        parsed = getattr(parsed, name)
+    assert parsed == expected and type(parsed) is type(expected)
+
+
+def test_parse_rejects_unreadable_file(tmp_path):
+    with pytest.raises(ConfigError) as err:
+        parse_config(tmp_path)  # a directory
+    assert str(tmp_path) in str(err.value)
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + json.dumps({"experiments": []}).encode("utf-16-le"))
+    with pytest.raises(ConfigError) as err:
+        parse_config(path)
+    assert str(path) in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "game",
+    [
+        {"state_prior": [float("nan"), float("nan")]},
+        {"state_prior": [1.0, 0.0]},
+        {"utility": [[1, -1], [-1, 1]]},
+        {"utility": [[1, float("nan")], [0, 1]]},
+    ],
+    ids=["prior-nan", "prior-zero", "utility-negative", "utility-nan"],
+)
+def test_run_rejects_game_that_cannot_run(tmp_path, capsys, game):
+    spec = {
+        "num_states": 2,
+        "sender_alphabets": [["m0", "m1"]],
+        "num_acts": 2,
+        "state_prior": [0.5, 0.5],
+        "utility": [[1, 0], [0, 1]],
+    }
+    experiment = tiny_experiment(game=dict(spec, **game), total_turns=300, events=[])
+    path = write_config(tmp_path, [experiment])
+    out = tmp_path / "out"
+    assert main(["--config", str(path), "--out", str(out)]) == EXIT_CONFIG_ERROR
+    assert "experiments[0].game: " in capsys.readouterr().err
     assert not out.exists()  # rejected before the first turn
 
 
@@ -398,6 +480,60 @@ def test_audit_fresh_symbol_in_stale_urn(tmp_path, capsys, receiver):
     assert "fresh symbol 'mB1?' is already in a receiver urn" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-0.1"])
+def test_audit_rejects_bad_threshold(tmp_path, capsys, threshold):
+    policy = dump_tiny_policy(tmp_path, total_turns=100)
+    capsys.readouterr()
+    argv = ["--audit", str(policy), "--replace", "mA0", "--threshold", threshold]
+    assert main(argv) == EXIT_CONFIG_ERROR
+    assert "--threshold: must be finite and at least 0" in capsys.readouterr().err
+
+
+def short_receiver_row(policy):
+    policy["receiver"]["table"]["entries"][0]["weights"] = [1.0, 1.0, 1.0]
+
+
+def negative_sender_row(policy):
+    policy["senders"][0]["table"]["entries"][0]["weights"] = [-5.0, 1.0]
+
+
+def repeated_sender_options(policy):
+    policy["senders"][0]["table"]["options"] = ["mA0", "mA0"]
+
+
+@pytest.mark.parametrize(
+    "corrupt", [short_receiver_row, negative_sender_row, repeated_sender_options]
+)
+def test_audit_rejects_malformed_policy(tmp_path, capsys, corrupt):
+    path = dump_tiny_policy(tmp_path, total_turns=500)
+    policy = json.loads(path.read_text())
+    corrupt(policy)
+    path.write_text(json.dumps(policy))
+    capsys.readouterr()
+    assert main(["--audit", str(path), "--replace", "mA0"]) == EXIT_CONFIG_ERROR
+    assert f"{path}: malformed policy file" in capsys.readouterr().err
+
+
+def test_audit_reads_symbol_sender_pairs(tmp_path, capsys):
+    # policy files before symbol_sender became an object held [symbol, sender] pairs
+    path = write_config(
+        tmp_path,
+        [tiny_experiment(receiver="generalist", introduction_mode="preserving", num_runs=1)],
+    )
+    out = tmp_path / "dump"
+    assert main(["--config", str(path), "--no-plot", "--dump-policy", "--out", str(out)]) == EXIT_OK
+    path = out / "tiny_policy.json"
+    policy = json.loads(path.read_text())
+    assert policy["receiver"]["symbol_sender"] == {"mA0": 0, "mA1": 0, "mB0": 1, "mB1": 1, "mB?": 1}
+    capsys.readouterr()
+    code = main(["--audit", str(path), "--replace", "mA0"])
+    report = capsys.readouterr().out
+    policy["receiver"]["symbol_sender"] = sorted(policy["receiver"]["symbol_sender"].items())
+    path.write_text(json.dumps(policy))
+    assert main(["--audit", str(path), "--replace", "mA0"]) == code
+    assert capsys.readouterr().out == report
+
+
 def test_audit_cli_exit_code(tmp_path):
     policy = dump_tiny_policy(tmp_path)
     assert main(["--audit", str(policy), "--replace", "mB0"]) == EXIT_NON_COMPOSITIONAL
@@ -409,10 +545,10 @@ def test_audit_cli_exit_code(tmp_path):
 def test_line_chart_deterministic_svg():
     xs = list(range(0, 1000, 100))
     ys = [x / 500 for x in xs]
-    svg1 = line_chart([("info", xs, ys)], vlines=[500])
-    svg2 = line_chart([("info", xs, ys)], vlines=[500])
+    svg1 = line_chart("info", xs, ys, vlines=[500])
+    svg2 = line_chart("info", xs, ys, vlines=[500])
     assert svg1 == svg2
     assert svg1.startswith("<svg")
     assert "stroke-dasharray" in svg1  # the event marker
     with pytest.raises(ValueError):
-        line_chart([("empty", [], [])])
+        line_chart("empty", [], [])

@@ -65,3 +65,43 @@ def test_json_round_trip():
 
 def test_signal_label():
     assert signal_label(("mA0", "mB1")) == "mA0 & mB1"
+
+
+def spec_with(**fields):
+    game = make_atomic_game(2)
+    values = dict(
+        num_states=2,
+        sender_alphabets=game.sender_alphabets,
+        num_acts=2,
+        state_prior=game.state_prior,
+        utility=game.utility,
+    )
+    values.update(fields)
+    return GameSpec(**values)
+
+
+@pytest.mark.parametrize(
+    "prior",
+    [(float("nan"), float("nan")), (1.0, 0.0), (float("inf"), 0.5), (1.5, -0.5)],
+    ids=["nan", "zero", "infinite", "negative"],
+)
+def test_validate_rejects_prior_not_finite_and_positive(prior):
+    problems = validate(spec_with(state_prior=prior))
+    assert "state_prior entries must be finite and positive" in problems
+
+
+@pytest.mark.parametrize(
+    "utility",
+    [((1.0, -1.0), (-1.0, 1.0)), ((1.0, float("nan")), (0.0, 1.0)), ((float("inf"), 0.0), (0.0, 1.0))],
+    ids=["negative", "nan", "infinite"],
+)
+def test_validate_rejects_utility_not_finite_and_non_negative(utility):
+    assert validate(spec_with(utility=utility)) == [
+        "utility entries must be finite and non-negative"
+    ]
+
+
+def test_from_json_dict_validates():
+    data = dict(make_atomic_game(2).to_json_dict(), state_prior=[1.0, 0.0])
+    with pytest.raises(InvalidSpecError, match="state_prior"):
+        GameSpec.from_json_dict(data)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from signalgames import cli, engine
-from signalgames.game import make_two_sender_game
+from signalgames.game import GameSpec, make_two_sender_game
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -191,3 +191,51 @@ def test_choices_do_not_depend_on_snapshots(receiver, seed, snapshot_every):
     )
     sparse = choice_digest(config)
     assert choice_digest(replace(config, snapshot_every=snapshot_every)) == sparse
+
+
+# A game the figure configs miss: three senders with alphabets of 2, 3 and 2
+# symbols, 3 states and acts, a non-uniform prior, a partial-credit utility,
+# and events on two different senders.
+THREE_SENDER_GAME = GameSpec(
+    num_states=3,
+    sender_alphabets=(("x0", "x1"), ("y0", "y1", "y2"), ("z0", "z1")),
+    num_acts=3,
+    state_prior=(0.5, 0.3, 0.2),
+    utility=((1.0, 0.0, 0.5), (0.0, 1.0, 0.0), (0.25, 0.0, 1.0)),
+)
+
+# SHA-256 of the choices of one 2,000-turn run, seed 0, events at turns 600
+# (sender 1) and 1,300 (sender 2).  The erasing generalist again acts as the
+# conventional receiver does.
+THREE_SENDER_RECEIVERS = {
+    "conventional": dict(receiver_kind="conventional"),
+    "minimalist": dict(receiver_kind="minimalist", temperature=50.0),
+    "generalist_erasing": dict(receiver_kind="generalist", introduction_mode="erasing"),
+    "generalist_preserving": dict(receiver_kind="generalist", introduction_mode="preserving"),
+    "generalist_preserving_alpha_0.5": dict(
+        receiver_kind="generalist", introduction_mode="preserving", alpha=0.5
+    ),
+}
+THREE_SENDER_DIGESTS = {
+    "conventional": "3c47b99a761131a09a2a0ad129b758254ed4d34807ac9c07070dec0538527272",
+    "minimalist": "869238e449a9b55347bcf01833ee1117322a8ca18fd820f6b98c35680f9dbbba",
+    "generalist_erasing": "3c47b99a761131a09a2a0ad129b758254ed4d34807ac9c07070dec0538527272",
+    "generalist_preserving": "79ceb8355fc784a8888a836bcb92e3bf36ad52af8d69b41585adf69d4e5ed0d3",
+    "generalist_preserving_alpha_0.5": "b7d6e03a1d7e4c7aba17d2b7c2a69ef6ca2441e5806aa8d9a0a04f7c0e42f2d8",
+}
+
+
+@pytest.mark.parametrize("name", sorted(THREE_SENDER_RECEIVERS))
+def test_three_sender_choice_digest(name):
+    config = engine.TrajectoryConfig(
+        spec=THREE_SENDER_GAME,
+        total_turns=2_000,
+        events=(
+            engine.ReplacementEvent(600, 1, "y1", "y1?"),
+            engine.ReplacementEvent(1_300, 2, "z0", "z0?"),
+        ),
+        snapshot_every=2_000,
+        seed=0,
+        **THREE_SENDER_RECEIVERS[name],
+    )
+    assert choice_digest(config) == THREE_SENDER_DIGESTS[name]

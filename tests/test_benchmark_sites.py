@@ -12,6 +12,8 @@ import pickle
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
+import pytest
+
 from signalgames import agents, cli, engine, infotheory, reinforcement
 from signalgames.engine import ReplacementEvent, TrajectoryConfig
 from signalgames.game import make_two_sender_game
@@ -107,3 +109,55 @@ def test_batch_workers_run_under_the_tracer(monkeypatch):
     assert [[r.__dict__ for r in t.reports] for t in traced.trajectories] == [
         [r.__dict__ for r in t.reports] for t in expected.trajectories
     ]
+
+
+@pytest.mark.parametrize(
+    "receiver",
+    (
+        dict(receiver_kind="conventional"),
+        dict(receiver_kind="minimalist", temperature=2000.0),
+        dict(receiver_kind="generalist", introduction_mode="erasing"),
+        dict(receiver_kind="generalist", introduction_mode="preserving"),
+    ),
+    ids=lambda receiver: "_".join(map(str, receiver.values())),
+)
+def test_traced_per_turn_call_counts(monkeypatch, receiver):
+    # Per-turn spans stay comparable across versions only while each traced
+    # call fires as often per turn as before: 2 + num_senders draws, one
+    # choice per agent, and reinforcement on rewarded turns alone.
+    config = TrajectoryConfig(
+        spec=make_two_sender_game(),
+        total_turns=300,
+        snapshot_every=100,
+        events=(ReplacementEvent(150, 1, "mB0", "mB?"),),
+        **receiver,
+    )
+    with load_spans().Tracer().installed() as tracer:
+        engine.run(config)
+    step = engine.step
+    rewarded = []
+
+    def counting_step(*args):
+        result = step(*args)
+        rewarded.append(bool(result[3]))
+        return result
+
+    monkeypatch.setattr(engine, "step", counting_step)
+    engine.run(config)
+    rewarded_turns = sum(rewarded)
+    assert 0 < rewarded_turns < 300
+    assert tracer.calls("engine.step") == 300
+    assert tracer.calls("reinforcement.sample_weights") == 1_200
+    assert tracer.calls("agents.sender.choose") == 600
+    assert tracer.calls("agents.receiver.choose") == 300
+    assert tracer.calls("agents.receiver.on_signal") == 300
+    assert tracer.calls("agents.sender.reinforce") == 2 * rewarded_turns
+    assert tracer.calls("agents.receiver.reinforce") == rewarded_turns
+    # snapshots read the minimalist's softmax too; the turns' calls are these
+    per_turn_softmax = tracer.aggregate.get(
+        ("agents.tempered_softmax", "agents.receiver.choose"), [0]
+    )[0]
+    if config.receiver_kind == "minimalist":
+        assert per_turn_softmax == 300
+    else:
+        assert tracer.calls("agents.tempered_softmax") == 0

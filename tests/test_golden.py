@@ -36,6 +36,15 @@ RUNS_CSV_DIGESTS = {
     "generalist_preserving": "4c1010602625f8f98206f707a9bad03ddd3c8ab9fbbab383f3fb2451ffa78dbd",
 }
 
+# SHA-256 of <name>_policy.json from the runs above (--dump-policy): the urn
+# tables as they come back from the batch's worker processes.
+POLICY_DUMP_DIGESTS = {
+    "conventional": "4e221bbbb40efb066325e2c3e94426ce2462ed1841924b78a2f2e9429f0066fd",
+    "minimalist": "38452facdf2bd97835144f8339a12fbf16fbad3a040cd12a0f375c2ab60aa59c",
+    "generalist_erasing": "ed828bf975833fd5ce0f3c3c58f5f3f2e7dcd21cb923edba3c48ee72f2f8bbe0",
+    "generalist_preserving": "0cd08eee5cb4dd1a8a03df391f3eb3fb67085f7273895c83aa364879b42d4a85",
+}
+
 # SHA-256 of float.hex() of every report's payoff, sender and receiver info
 # in the runs above: the metrics bit for bit, beyond the CSVs' 12 digits.
 REPORT_BITS_DIGESTS = {
@@ -107,6 +116,16 @@ def test_runs_csv_digest(tmp_path, kind):
     assert cli.main(["--config", str(path), "--out", str(out), "--no-plot"]) == cli.EXIT_OK
     (csv,) = out.glob("*_runs.csv")
     assert hashlib.sha256(csv.read_bytes()).hexdigest() == RUNS_CSV_DIGESTS[kind]
+
+
+@pytest.mark.parametrize("kind", sorted(FIGURE_CONFIGS))
+def test_policy_dump_digest(tmp_path, kind):
+    path = scaled_config(tmp_path, kind, turns=2_000, runs=2, snapshot_every=100)
+    out = tmp_path / "out"
+    argv = ["--config", str(path), "--out", str(out), "--no-plot", "--dump-policy"]
+    assert cli.main(argv) == cli.EXIT_OK
+    (policy,) = out.glob("*_policy.json")
+    assert hashlib.sha256(policy.read_bytes()).hexdigest() == POLICY_DUMP_DIGESTS[kind]
 
 
 @pytest.mark.parametrize("kind", sorted(FIGURE_CONFIGS))

@@ -314,6 +314,17 @@ def run_experiment(
 # audit
 
 
+def _check_senders(spec: GameSpec, senders: list[dict]) -> None:
+    """``ValueError`` naming ``senders[i]`` unless sender i of the policy file
+    is the game's sender i, with an alphabet of the game's size."""
+    found = dict(enumerate((s["sender_index"], len(s["table"]["options"])) for s in senders))
+    expected = dict(enumerate((i, len(a)) for i, a in enumerate(spec.sender_alphabets)))
+    for i in sorted(found.keys() | expected.keys()):
+        got, want = found.get(i), expected.get(i)
+        if got != want:
+            raise ValueError(f"senders[{i}]: (sender_index, alphabet size) is {got}, not {want}")
+
+
 def load_policy(path) -> tuple[GameSpec, PolicySnapshot, list[Sender], object]:
     """Rebuild agents from a --dump-policy file and snapshot their policies."""
     try:
@@ -322,6 +333,7 @@ def load_policy(path) -> tuple[GameSpec, PolicySnapshot, list[Sender], object]:
         raise ConfigError(f"{path}: cannot read policy file ({exc})") from exc
     try:
         spec = GameSpec.from_json_dict(document["game"])
+        _check_senders(spec, document["senders"])
         senders = [
             Sender.from_json_dict(spec, data) for data in document["senders"]
         ]

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import MISSING, fields
@@ -552,3 +553,81 @@ def test_line_chart_deterministic_svg():
     assert "stroke-dasharray" in svg1  # the event marker
     with pytest.raises(ValueError):
         line_chart("empty", [], [])
+
+
+# -- the policy's senders are the game's senders ----------------------------
+
+
+def dump_fig2_policy(tmp_path):
+    # the figure 2 config at 1 run x 4,000 turns, its event at turn 2,000
+    document = json.loads((CONFIG_DIR / "fig2_conventional.json").read_text())
+    (experiment,) = document["experiments"]
+    (event,) = experiment["events"]
+    experiment.update(
+        total_turns=4_000, num_runs=1, snapshot_every=1_000, events=[dict(event, turn=2_000)]
+    )
+    path = write_config(tmp_path, [experiment])
+    out = tmp_path / "dump"
+    assert main(["--config", str(path), "--no-plot", "--dump-policy", "--out", str(out)]) == EXIT_OK
+    return out / "fig2_conventional_policy.json"
+
+
+def audit_rewritten_policy(tmp_path, capsys, rewrite):
+    path = dump_fig2_policy(tmp_path)
+    policy = json.loads(path.read_text())
+    rewrite(policy)
+    path.write_text(json.dumps(policy))
+    capsys.readouterr()
+    code = main(["--audit", str(path), "--replace", "mA0"])
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return code, captured.err
+
+
+def test_audit_rejects_policy_cut_to_one_sender(tmp_path, capsys):
+    # this policy used to audit as "gap 0.0000 ... compositional", exit 0
+    code, err = audit_rewritten_policy(
+        tmp_path, capsys, lambda policy: policy.update(senders=policy["senders"][:1])
+    )
+    assert code == EXIT_CONFIG_ERROR
+    assert "malformed policy file (senders[1]: " in err
+
+
+def test_audit_rejects_policy_with_senders_reversed(tmp_path, capsys):
+    # so did this one
+    code, err = audit_rewritten_policy(
+        tmp_path, capsys, lambda policy: policy.update(senders=policy["senders"][::-1])
+    )
+    assert code == EXIT_CONFIG_ERROR
+    assert "malformed policy file (senders[0]: " in err
+
+
+def add_sender(policy):
+    extra = json.loads(json.dumps(policy["senders"][1]))
+    extra["sender_index"] = 2
+    extra["table"]["options"] = ["mC0", "mC1"]
+    policy["senders"].append(extra)
+
+
+def misnumber_sender(policy):
+    policy["senders"][1]["sender_index"] = 0
+
+
+def shrink_alphabet(policy):
+    table = policy["senders"][1]["table"]
+    table["options"] = table["options"][:1]
+    for entry in table["entries"]:
+        entry["weights"] = entry["weights"][:1]
+
+
+@pytest.mark.parametrize(
+    "rewrite, where",
+    [(add_sender, "senders[2]"), (misnumber_sender, "senders[1]"), (shrink_alphabet, "senders[1]")],
+    ids=["sender-count", "sender-index", "alphabet-size"],
+)
+def test_audit_rejects_policy_senders_unlike_the_game(tmp_path, capsys, rewrite, where):
+    code, err = audit_rewritten_policy(tmp_path, capsys, rewrite)
+    assert code == EXIT_CONFIG_ERROR
+    assert f"malformed policy file ({where}: " in err
+    with pytest.raises(ConfigError, match=rf"{re.escape(where)}: \(sender_index, alphabet size\)"):
+        load_policy(tmp_path / "dump" / "fig2_conventional_policy.json")

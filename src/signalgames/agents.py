@@ -18,6 +18,7 @@ import numpy as np
 
 from .game import CompoundSignal, GameSpec
 from .reinforcement import (
+    FillingDict,
     ReinforcementTable,
     SymbolCollisionError,
     fold_sum,
@@ -55,11 +56,12 @@ class Sender:
         return self.table.distribution(state)
 
     def choose(self, state: int, rng: np.random.Generator) -> str:
-        idx = sample_weights(self.table.weights(state), rng)
-        return self.table.options[idx]
+        return self.table.options[sample_weights(self.table.entries[state], rng)]
 
     def reinforce(self, state: int, symbol: str, reward: float) -> None:
-        self.table.reinforce(state, symbol, reward)
+        if reward < 0:
+            raise ValueError("negative reinforcement is out of scope")
+        self.table.entries[state][self.table.position[symbol]] += reward
 
     def replace_message(self, old_symbol: str, new_symbol: str) -> None:
         """Relabel every old-symbol ball; reinforcements carry over exactly."""
@@ -122,14 +124,16 @@ class ConventionalReceiver(Receiver):
         return self.table.distribution(tuple(signal))
 
     def choose(self, signal: CompoundSignal, rng: np.random.Generator) -> int:
-        return sample_weights(self.table.weights(tuple(signal)), rng)
+        return sample_weights(self.table.entries[signal], rng)
 
     def on_signal(self, signal: CompoundSignal) -> None:
         pass
 
     def reinforce(self, signal: CompoundSignal, act: int, reward: float) -> None:
+        if reward < 0:
+            raise ValueError("negative reinforcement is out of scope")
         if reward:
-            self.table.reinforce(tuple(signal), act, reward)
+            self.table.entries[signal][act] += reward
 
     def on_replacement(self, old_symbol: str, new_symbol: str) -> None:
         # No table change: urns for signals with the new symbol materialize
@@ -192,24 +196,27 @@ class MinimalistReceiver(Receiver):
 
     def reinforce(self, signal: CompoundSignal, act: int, reward: float) -> None:
         """Drop one act ball into the urn of every present atomic slot."""
+        if reward < 0:
+            raise ValueError("negative reinforcement is out of scope")
         if not reward:
             return
+        entries = self.table.entries
         for symbol in signal:
             if symbol is not None:
-                self.table.reinforce(symbol, act, reward)
+                entries[symbol][act] += reward
 
     def on_replacement(self, old_symbol: str, new_symbol: str) -> None:
         # The urn for the new symbol is created lazily on first receipt.
         pass
 
 
-def _subcombinations(signal: CompoundSignal) -> list[frozenset]:
-    """Non-empty subsets of the signal's present slots, smallest first."""
+def _combinations(signal: CompoundSignal) -> tuple[frozenset, tuple[frozenset, ...]]:
+    """The combination of the signal's present slots, and its non-empty
+    sub-combinations, smallest first."""
     present = [m for m in signal if m is not None]
-    combos: list[frozenset] = []
-    for n in range(1, len(present) + 1):
-        combos.extend(frozenset(c) for c in itertools.combinations(present, n))
-    return combos
+    sizes = range(1, len(present) + 1)
+    combos = tuple(frozenset(c) for n in sizes for c in itertools.combinations(present, n))
+    return combos[-1] if combos else frozenset(), combos
 
 
 class GeneralistReceiver(Receiver):
@@ -243,16 +250,8 @@ class GeneralistReceiver(Receiver):
             m: i for i, alphabet in enumerate(spec.sender_alphabets) for m in alphabet
         }
         self.table = ReinforcementTable(list(range(spec.num_acts)))
-        # signal -> (full combination, non-empty sub-combinations); derived from
-        # the signal alone, so it needs no invalidation and is never dumped
-        self._contexts: dict[CompoundSignal, tuple[frozenset, tuple[frozenset, ...]]] = {}
-
-    def _signal_contexts(self, signal: CompoundSignal) -> tuple[frozenset, tuple[frozenset, ...]]:
-        contexts = self._contexts.get(signal)
-        if contexts is None:
-            combos = tuple(_subcombinations(signal))
-            contexts = self._contexts[signal] = (combos[-1] if combos else frozenset(), combos)
-        return contexts
+        # derived from the signal alone: needs no invalidation, is never dumped
+        self._contexts = FillingDict(_combinations)
 
     @property
     def act_counts(self) -> ReinforcementTable:
@@ -260,23 +259,23 @@ class GeneralistReceiver(Receiver):
         return self.table
 
     def act_distribution(self, signal: CompoundSignal) -> list[float]:
-        full, _ = self._signal_contexts(signal)
-        return self.table.distribution(full)
+        return self.table.distribution(self._contexts[signal][0])
 
     def choose(self, signal: CompoundSignal, rng: np.random.Generator) -> int:
-        full, _ = self._signal_contexts(signal)
-        return sample_weights(self.table.weights(full), rng)
+        return sample_weights(self.table.entries[self._contexts[signal][0]], rng)
 
     def on_signal(self, signal: CompoundSignal) -> None:
         pass
 
     def reinforce(self, signal: CompoundSignal, act: int, reward: float) -> None:
         """On reward, add an act ball to every sub-combination's urn."""
+        if reward < 0:
+            raise ValueError("negative reinforcement is out of scope")
         if not reward:
             return
-        reinforce = self.table.reinforce
-        for combo in self._signal_contexts(signal)[1]:
-            reinforce(combo, act, reward)
+        entries = self.table.entries
+        for combo in self._contexts[signal][1]:
+            entries[combo][act] += reward
 
     def on_replacement(self, old_symbol: str, new_symbol: str) -> None:
         """Register the freshly minted symbol and initialize its urns.
@@ -303,7 +302,7 @@ class GeneralistReceiver(Receiver):
         # symbol can extend hold none of its sender's symbols.
         own_set = set(own)
         remainders = {key - own_set for key in self.table.entries}
-        extendable = {combo for rest in remainders for combo in _subcombinations(rest)}
+        extendable = {combo for rest in remainders for combo in _combinations(rest)[1]}
         for combo in extendable:
             self.table.entries[combo | {new_symbol}] = [a * w for w in self.table.weights(combo)]
         # Singleton: sum over the same sender's symbols, so that conditioning

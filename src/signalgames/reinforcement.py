@@ -8,8 +8,9 @@ driven by a seeded ``numpy`` generator so runs are reproducible bit-for-bit.
 
 from __future__ import annotations
 
+import itertools
 import math
-from typing import Hashable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 import numpy as np
 
@@ -18,7 +19,7 @@ BLOCK = 1024
 
 
 class DegenerateContextError(ValueError):
-    """All weights in a context are zero; no proportional choice exists."""
+    """Weights that total zero or a non-finite value: no proportional choice."""
 
 
 class SymbolCollisionError(ValueError):
@@ -45,26 +46,35 @@ class BlockUniforms:
     successive ``rng.random()`` calls would, fetched ``BLOCK`` at a time.
 
     ``rng.random(n)`` yields the same n floats as n scalar calls, so only the
-    per-call cost changes.
+    per-call cost changes: ``random`` is a C-level ``__next__``, not a frame.
     """
 
     def __init__(self, rng: np.random.Generator):
-        self.random = self._stream(rng).__next__
+        blocks = iter(lambda: rng.random(BLOCK).tolist(), None)
+        self.random = itertools.chain.from_iterable(blocks).__next__
 
-    @staticmethod
-    def _stream(rng: np.random.Generator):
-        while True:
-            yield from rng.random(BLOCK).tolist()
+
+class FillingDict(dict):
+    """A dict in which indexing an unseen key stores and returns
+    ``fill(key)``; ``get`` and ``in`` never store."""
+
+    def __init__(self, fill: Callable[[Hashable], object]):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key: Hashable):
+        value = self[key] = self.fill(key)
+        return value
 
 
 class ReinforcementTable:
     """Map from context key to per-option accumulated weights.
 
-    Contexts are created lazily: an unknown key reads as ``initial_weight``
-    for every option, so fresh contexts behave uniformly.  Only
-    :meth:`weights` (used to choose and to reinforce) stores it; reads
-    through :meth:`peek` and :meth:`distribution` leave the table unchanged.
-    Weights are plain floats; fractional values are allowed (the
+    An unseen context reads as ``initial_weight`` for every option, so fresh
+    contexts behave uniformly.  Indexing ``entries`` (as :meth:`weights`,
+    :meth:`reinforce` and the agents do) stores its urn; ``entries.get``,
+    :meth:`peek` and :meth:`distribution` read it and store nothing.  Weights
+    are plain floats; fractional values are allowed (the
     information-preserving initialization needs them).
     """
 
@@ -76,20 +86,20 @@ class ReinforcementTable:
         self.options = list(options)
         self.position = {option: i for i, option in enumerate(self.options)}
         self.initial_weight = float(initial_weight)
-        self.entries: dict[Hashable, list[float]] = {}
+        self.entries = FillingDict(self.fresh_row)
+
+    def fresh_row(self, context: Hashable = None) -> list[float]:
+        """The weights an unseen context reads as."""
+        return [self.initial_weight] * len(self.options)
 
     def weights(self, context: Hashable) -> list[float]:
         """Weight vector for a context, materializing it if unseen."""
-        row = self.entries.get(context)
-        if row is None:
-            row = [self.initial_weight] * len(self.options)
-            self.entries[context] = row
-        return row
+        return self.entries[context]
 
     def peek(self, context: Hashable) -> list[float]:
         """Weight vector for a context, without materializing it if unseen."""
         row = self.entries.get(context)
-        return [self.initial_weight] * len(self.options) if row is None else row
+        return self.fresh_row() if row is None else row
 
     def distribution(self, context: Hashable) -> list[float]:
         """Weights normalized to a probability vector (matching law)."""
@@ -103,10 +113,7 @@ class ReinforcementTable:
         """Add ``amount`` balls of ``option`` to the ``context`` urn."""
         if amount < 0:
             raise ValueError("negative reinforcement is out of scope")
-        row = self.entries.get(context)
-        if row is None:
-            row = self.weights(context)
-        row[self.position[option]] += amount
+        self.entries[context][self.position[option]] += amount
 
     def relabel(self, old_symbol: Hashable, new_symbol: Hashable) -> None:
         """Rename a symbol wherever it appears, keeping every weight.
@@ -120,9 +127,10 @@ class ReinforcementTable:
             raise SymbolCollisionError(f"symbol {new_symbol!r} already in use")
         self.options = [new_symbol if o == old_symbol else o for o in self.options]
         self.position = {option: i for i, option in enumerate(self.options)}
-        self.entries = {
-            self._swap_key(k, old_symbol, new_symbol): v for k, v in self.entries.items()
-        }
+        swap = self._swap_key
+        swapped = [(swap(k, old_symbol, new_symbol), v) for k, v in self.entries.items()]
+        self.entries.clear()
+        self.entries.update(swapped)
 
     def uses(self, symbol: Hashable) -> bool:
         """Whether ``symbol`` is an option or part of a stored context key."""
@@ -177,19 +185,20 @@ class ReinforcementTable:
 
 def sample_weights(weights: Sequence[float], rng: np.random.Generator) -> int:
     """Draw an index with probability proportional to its weight, consuming
-    one draw; the last index absorbs accumulated rounding."""
-    total = fold_sum(weights)
-    if total <= 0.0:
-        raise DegenerateContextError("cannot sample from all-zero weights")
+    one draw; the last index absorbs accumulated rounding.  The total, the
+    left fold of ``fold_sum`` inlined, must be finite and positive."""
+    total = 0.0
+    for w in weights:
+        total += w
+    if not 0.0 < total < math.inf:
+        raise DegenerateContextError(f"cannot sample from weights totalling {total!r}")
     r = rng.random() * total
     acc = 0.0
-    last = 0
     for i, w in enumerate(weights):
         acc += w
-        last = i
         if r < acc:
             return i
-    return last
+    return i
 
 
 def items_to_json(mapping: dict) -> list[list]:

@@ -1,6 +1,8 @@
+import itertools
 import json
 import multiprocessing
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -24,7 +26,7 @@ from signalgames.engine import (
     take_snapshot,
 )
 from signalgames.game import make_atomic_game, make_two_sender_game
-from signalgames.infotheory import sender_average_info
+from signalgames.infotheory import compositional_expected_average, sender_average_info
 from signalgames.reinforcement import make_rng
 
 GAME = make_two_sender_game()
@@ -184,6 +186,49 @@ def test_snapshot_leaves_policies_unchanged(receiver):
         assert urn_entries(senders, receiver_agent) == entries
         assert policy_state(senders, receiver_agent) == before
     assert urn_entries(fresh_senders, fresh_receiver) == [0, 0, 0]
+
+
+@pytest.mark.parametrize("receiver", RECEIVERS)
+def test_reads_store_no_urns_after_fresh_symbols(receiver):
+    # after events mint fresh symbols, every signal holding one reads an urn
+    # that was never stored; no read may store it
+    events = (ReplacementEvent(300, 1, "mB0", "mB?"), ReplacementEvent(600, 0, "mA1", "mA?"))
+    trained = run(small_config(total_turns=600, events=events, **receiver))
+    senders, agent = trained.senders, trained.receiver
+    entries = urn_entries(senders, agent)
+    snapshot = take_snapshot(GAME, senders, agent)
+    symbols = [["mA0", "mA1", "mA?"], ["mB0", "mB1", "mB?"]]  # live and retired
+    for signal in itertools.product(*symbols):
+        agent.act_distribution(signal)
+        if receiver["receiver_kind"] == "minimalist":
+            agent.naive_distribution(signal)
+    agent.to_json_dict()
+    for sender in senders:
+        sender.to_json_dict()
+    compositional_expected_average(snapshot, "mA?")
+    compositional_expected_average(snapshot, "mB1")
+    assert urn_entries(senders, agent) == entries
+
+
+@pytest.mark.parametrize("receiver", RECEIVERS)
+def test_pickled_agents_keep_storing_and_learning(receiver):
+    # batch workers send trajectories back pickled; the agents that arrive
+    # must go on storing unseen urns and choose exactly as the originals do
+    event = ReplacementEvent(300, 1, "mB0", "mB?")
+    config = small_config(total_turns=300, events=(event,), **receiver)
+    original = run(config)
+    copy = pickle.loads(pickle.dumps(original))
+    rng, copy_rng = make_rng(5), make_rng(5)
+    prior = list(GAME.state_prior)
+    for _ in range(300):
+        played = step(GAME, original.senders, original.receiver, rng, prior)
+        assert step(GAME, copy.senders, copy.receiver, copy_rng, prior) == played
+    assert urn_entries(copy.senders, copy.receiver) == urn_entries(
+        original.senders, original.receiver
+    )
+    assert policy_state(copy.senders, copy.receiver) == policy_state(
+        original.senders, original.receiver
+    )
 
 
 # -- events are checked before the first turn -------------------------------

@@ -1,9 +1,12 @@
 import functools
+import itertools
 import math
 import operator
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from signalgames.reinforcement import (
     BLOCK,
@@ -178,3 +181,87 @@ def test_totals_fold_left_to_right():
     # the draw lands just under the total: under 1e16 (index 0) only when the
     # total is 1e16
     assert sample_weights(row, FixedDraw(1 - 2**-53)) == 0
+
+
+# -- one rule for storing urns ----------------------------------------------
+
+
+def trained_table():
+    table = ReinforcementTable([0, 1], 0.5)
+    table.reinforce(("mA0", "mB0"), 1, 2.0)
+    table.reinforce(frozenset({"mB0"}), 0, 1.0)
+    return table
+
+
+def relabeled(table):
+    table.relabel("mB0", "mB?")
+    return table
+
+
+@pytest.mark.parametrize(
+    "rebuild",
+    [
+        lambda table: table,
+        lambda table: pickle.loads(pickle.dumps(table)),
+        lambda table: ReinforcementTable.from_json_dict(table.to_json_dict()),
+        relabeled,
+    ],
+    ids=["built", "pickled", "from-json", "relabeled"],
+)
+def test_indexing_stores_an_unseen_urn_and_reads_do_not(rebuild):
+    table = rebuild(trained_table())
+    stored = dict(table.entries)
+    assert table.peek("unseen") == [0.5, 0.5]
+    assert table.distribution("unseen") == [0.5, 0.5]
+    assert table.entries.get("unseen") is None and "unseen" not in table.entries
+    assert table.to_json_dict() == rebuild(trained_table()).to_json_dict()
+    assert table.entries == stored
+    row = table.entries["unseen"]
+    assert row == [0.5, 0.5] and table.entries["unseen"] is row
+    assert table.entries == dict(stored, unseen=[0.5, 0.5])
+    table.reinforce("other", 1, 1.0)
+    assert table.weights("other") == [0.5, 1.5]
+
+
+# -- sample_weights rejects a total that is not finite and positive --------
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [[math.inf, 1.0], [math.nan, 1.0], [1.0, -math.inf], [1e308, 1e308], [0.0, 0.0], []],
+)
+def test_sample_weights_rejects_a_total_not_finite_and_positive(weights):
+    with pytest.raises(DegenerateContextError):
+        sample_weights(weights, FixedDraw(0.5))
+
+
+def reference_sample(row, draw):
+    """The index a left-fold total and a first-crossing scan choose, or None
+    when the total is not finite and positive."""
+    total = functools.reduce(operator.add, row, 0.0)
+    if not (math.isfinite(total) and total > 0.0):
+        return None
+    r = draw * total
+    crossings = [i for i, acc in enumerate(itertools.accumulate(row)) if r < acc]
+    return crossings[0] if crossings else len(row) - 1
+
+
+WEIGHTS = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=1e-3, max_value=1e16),
+    st.sampled_from([math.inf, math.nan]),
+)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(
+    row=st.lists(WEIGHTS, min_size=1, max_size=6),
+    draw=st.one_of(st.sampled_from([0.0, 1 - 2**-53]), st.floats(0.0, 1.0, exclude_max=True)),
+)
+def test_sample_weights_matches_the_left_fold_reference(row, draw):
+    expected = reference_sample(row, draw)
+    if expected is None:
+        with pytest.raises(DegenerateContextError):
+            sample_weights(row, FixedDraw(draw))
+    else:
+        assert sample_weights(row, FixedDraw(draw)) == expected

@@ -194,11 +194,13 @@ def sample_weights(weights: Sequence[float], rng: np.random.Generator) -> int:
         raise DegenerateContextError(f"cannot sample from weights totalling {total!r}")
     r = rng.random() * total
     acc = 0.0
-    for i, w in enumerate(weights):
+    i = 0  # a counter, not enumerate: no tuple to unpack per weight
+    for w in weights:
         acc += w
         if r < acc:
             return i
-    return i
+        i += 1
+    return i - 1
 
 
 def items_to_json(mapping: dict) -> list[list]:

@@ -18,7 +18,6 @@ import numpy as np
 
 from .game import CompoundSignal, GameSpec
 from .reinforcement import (
-    FillingDict,
     ReinforcementTable,
     SymbolCollisionError,
     fold_sum,
@@ -211,12 +210,19 @@ class MinimalistReceiver(Receiver):
 
 
 def _combinations(signal: CompoundSignal) -> tuple[frozenset, tuple[frozenset, ...]]:
-    """The combination of the signal's present slots, and its non-empty
-    sub-combinations, smallest first."""
+    """The signal's present slots as one combination, and every non-empty one, smallest first."""
     present = [m for m in signal if m is not None]
     sizes = range(1, len(present) + 1)
     combos = tuple(frozenset(c) for n in sizes for c in itertools.combinations(present, n))
     return combos[-1] if combos else frozenset(), combos
+
+
+class SignalContexts(dict):
+    """signal -> ``_combinations(signal)``, stored on first index; never stale, never dumped."""
+
+    def __missing__(self, signal: CompoundSignal) -> tuple[frozenset, tuple[frozenset, ...]]:
+        contexts = self[signal] = _combinations(signal)
+        return contexts
 
 
 class GeneralistReceiver(Receiver):
@@ -250,8 +256,7 @@ class GeneralistReceiver(Receiver):
             m: i for i, alphabet in enumerate(spec.sender_alphabets) for m in alphabet
         }
         self.table = ReinforcementTable(list(range(spec.num_acts)))
-        # derived from the signal alone: needs no invalidation, is never dumped
-        self._contexts = FillingDict(_combinations)
+        self._contexts = SignalContexts()
 
     @property
     def act_counts(self) -> ReinforcementTable:

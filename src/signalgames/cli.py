@@ -315,8 +315,7 @@ def run_experiment(
 
 
 def _check_senders(spec: GameSpec, senders: list[dict]) -> None:
-    """``ValueError`` naming ``senders[i]`` unless sender i of the policy file
-    is the game's sender i, with an alphabet of the game's size."""
+    """``ValueError`` naming ``senders[i]`` unless it is game sender i, at its alphabet size."""
     found = dict(enumerate((s["sender_index"], len(s["table"]["options"])) for s in senders))
     expected = dict(enumerate((i, len(a)) for i, a in enumerate(spec.sender_alphabets)))
     for i in sorted(found.keys() | expected.keys()):

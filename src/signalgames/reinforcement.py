@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 
@@ -54,17 +54,17 @@ class BlockUniforms:
         self.random = itertools.chain.from_iterable(blocks).__next__
 
 
-class FillingDict(dict):
-    """A dict in which indexing an unseen key stores and returns
-    ``fill(key)``; ``get`` and ``in`` never store."""
+class Urns(dict):
+    """Context -> weight row, where indexing an unseen context stores and
+    returns a fresh row of ``initial_weight``s; ``get`` and ``in`` never store."""
 
-    def __init__(self, fill: Callable[[Hashable], object]):
+    def __init__(self, initial_weight: float, width: int):
         super().__init__()
-        self.fill = fill
+        self.fresh = [initial_weight] * width
 
-    def __missing__(self, key: Hashable):
-        value = self[key] = self.fill(key)
-        return value
+    def __missing__(self, context: Hashable) -> list[float]:
+        row = self[context] = self.fresh.copy()
+        return row
 
 
 class ReinforcementTable:
@@ -86,11 +86,7 @@ class ReinforcementTable:
         self.options = list(options)
         self.position = {option: i for i, option in enumerate(self.options)}
         self.initial_weight = float(initial_weight)
-        self.entries = FillingDict(self.fresh_row)
-
-    def fresh_row(self, context: Hashable = None) -> list[float]:
-        """The weights an unseen context reads as."""
-        return [self.initial_weight] * len(self.options)
+        self.entries = Urns(self.initial_weight, len(self.options))
 
     def weights(self, context: Hashable) -> list[float]:
         """Weight vector for a context, materializing it if unseen."""
@@ -99,7 +95,7 @@ class ReinforcementTable:
     def peek(self, context: Hashable) -> list[float]:
         """Weight vector for a context, without materializing it if unseen."""
         row = self.entries.get(context)
-        return self.fresh_row() if row is None else row
+        return self.entries.fresh.copy() if row is None else row
 
     def distribution(self, context: Hashable) -> list[float]:
         """Weights normalized to a probability vector (matching law)."""

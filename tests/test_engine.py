@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import multiprocessing
@@ -7,6 +8,7 @@ import signal
 import subprocess
 import sys
 import time
+import weakref
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields, replace
 from pathlib import Path
@@ -229,6 +231,21 @@ def test_pickled_agents_keep_storing_and_learning(receiver):
     assert policy_state(copy.senders, copy.receiver) == policy_state(
         original.senders, original.receiver
     )
+
+
+@pytest.mark.parametrize("receiver", RECEIVERS)
+def test_agents_are_freed_without_the_cycle_collector(receiver):
+    # urn tables that referred back to themselves lived on until a cycle
+    # collection, which raised the churn benchmark's peak memory by 9 MB
+    trajectory = run(small_config(total_turns=300, **receiver))
+    agents = [*trajectory.senders, trajectory.receiver]
+    refs = [weakref.ref(x) for x in agents + [agent.table for agent in agents]]
+    gc.disable()
+    try:
+        del trajectory, agents
+        assert [ref() for ref in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
 
 
 # -- events are checked before the first turn -------------------------------

@@ -144,26 +144,18 @@ class MinimalistReceiver(Receiver):
     """Act urns keyed by atomic message; acts picked by tempered softmax.
 
     Scores for a compound signal are the summed reinforcements of its atomic
-    slots.  The softmax is applied to the raw sums by default: the figure's
-    T = 2000 only bites on the accumulated-count scale.  Set ``normalized``
-    to feed the softmax the normalized naive rule instead.
+    slots, and the softmax is applied to those raw sums: the figure's
+    T = 2000 only bites on the accumulated-count scale.
     """
 
     kind = "minimalist"
-    params = ("temperature", "normalized")
+    params = ("temperature",)
 
-    def __init__(
-        self,
-        spec: GameSpec,
-        temperature: float,
-        normalized: bool = False,
-        initial_weight: float = 1.0,
-    ):
+    def __init__(self, spec: GameSpec, temperature: float, initial_weight: float = 1.0):
         if not temperature > 0:
             raise ValueError(f"temperature must be positive, not {temperature!r}")
         self.num_acts = spec.num_acts
         self.temperature = float(temperature)
-        self.normalized = bool(normalized)
         self.table = ReinforcementTable(list(range(spec.num_acts)), initial_weight)
 
     def naive_scores(self, signal: CompoundSignal) -> list[float]:
@@ -182,10 +174,7 @@ class MinimalistReceiver(Receiver):
         return [s / total for s in scores]
 
     def act_distribution(self, signal: CompoundSignal) -> list[float]:
-        scores = (
-            self.naive_distribution(signal) if self.normalized else self.naive_scores(signal)
-        )
-        return tempered_softmax(scores, self.temperature)
+        return tempered_softmax(self.naive_scores(signal), self.temperature)
 
     def choose(self, signal: CompoundSignal, rng: np.random.Generator) -> int:
         return sample_weights(self.act_distribution(signal), rng)

@@ -58,7 +58,6 @@ class ExperimentConfig:
     name: str
     trajectory: TrajectoryConfig
     num_runs: int = 20
-    plot: bool = True
     comment: str = ""
 
 
@@ -66,7 +65,7 @@ class ExperimentConfig:
 # config parsing
 
 # JSON keys that differ from the field names they set
-_ALIASES = {"receiver_kind": "receiver", "normalized": "normalized_scores"}
+_ALIASES = {"receiver_kind": "receiver"}
 
 
 def _settable(cls) -> dict:
@@ -279,7 +278,7 @@ def run_experiment(
     out_dir: Path,
     num_runs: Optional[int] = None,
     seed: Optional[int] = None,
-    plot: Optional[bool] = None,
+    plot: bool = True,
     dump_policy: bool = False,
 ) -> list[str]:
     """Run one experiment batch and write its artifacts; returns filenames."""
@@ -303,7 +302,7 @@ def run_experiment(
     for (turn, phase), snapshot in sorted(first.event_snapshots.items()):
         table = info_table(snapshot, rows="compound", cols="acts")
         emit(f"{exp.name}_event{turn}_{phase}_acts.csv", table.to_csv())
-    if (plot if plot is not None else exp.plot):
+    if plot:
         emit(f"{exp.name}.svg", _plot_svg(exp, batch))
     if dump_policy:
         emit(f"{exp.name}_policy.json", _policy_json(first))
@@ -333,9 +332,7 @@ def load_policy(path) -> tuple[GameSpec, PolicySnapshot, list[Sender], object]:
     try:
         spec = GameSpec.from_json_dict(document["game"])
         _check_senders(spec, document["senders"])
-        senders = [
-            Sender.from_json_dict(spec, data) for data in document["senders"]
-        ]
+        senders = [Sender.from_json_dict(spec, data) for data in document["senders"]]
         receiver = receiver_from_json_dict(spec, document["receiver"])
         snapshot = take_snapshot(spec, senders, receiver)
     except (KeyError, TypeError, ValueError) as exc:
@@ -443,9 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--runs", type=int, help="override num_runs for every experiment")
     parser.add_argument("--seed", type=int, help="override the base seed")
     parser.add_argument("--out", type=Path, default=Path("out"), help="output directory")
-    plot_group = parser.add_mutually_exclusive_group()
-    plot_group.add_argument("--plot", dest="plot", action="store_true", default=None)
-    plot_group.add_argument("--no-plot", dest="plot", action="store_false")
+    parser.add_argument("--no-plot", dest="plot", action="store_false", help="write no SVG")
     parser.add_argument(
         "--dump-policy",
         action="store_true",

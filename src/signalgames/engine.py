@@ -51,7 +51,6 @@ class TrajectoryConfig:
     spec: GameSpec
     receiver_kind: str = "conventional"
     temperature: float = 2000.0
-    normalized: bool = False
     introduction_mode: str = "erasing"
     alpha: float = 1.0
     total_turns: int = 100_000
@@ -141,14 +140,13 @@ def step(
     senders: Sequence[Sender],
     receiver: Receiver,
     rng: np.random.Generator | BlockUniforms,
-    prior_weights: Sequence[float],
 ) -> tuple[int, tuple, int, float]:
     """One full round of play, including reinforcement.
 
     Consumes 2 + num_senders draws of ``rng.random()``: state, each sender,
     then the receiver.  Returns (state, signal, act, reward).
     """
-    state = sample_weights(prior_weights, rng)
+    state = sample_weights(spec.state_prior, rng)
     signal = tuple([sender.choose(state, rng) for sender in senders])
     receiver.on_signal(signal)
     act = receiver.choose(signal, rng)
@@ -211,12 +209,11 @@ def run(config: TrajectoryConfig) -> Trajectory:
     rng = BlockUniforms(make_rng(config.seed))
     senders, receiver = build_agents(config)
     events_by_turn = {event.turn: event for event in config.events}
-    prior_weights = list(spec.state_prior)
 
     reports = [make_report(spec, take_snapshot(spec, senders, receiver), 0, "regular")]
     event_snapshots: dict[tuple[int, str], PolicySnapshot] = {}
     for turn in range(1, config.total_turns + 1):
-        step(spec, senders, receiver, rng, prior_weights)
+        step(spec, senders, receiver, rng)
         event = events_by_turn.get(turn)
         if event is not None:
             # events fire after the turn's step; snapshot both sides of it

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import defaultdict
 from typing import Hashable, Iterable, Sequence
 
 import numpy as np
@@ -54,26 +55,14 @@ class BlockUniforms:
         self.random = itertools.chain.from_iterable(blocks).__next__
 
 
-class Urns(dict):
-    """Context -> weight row, where indexing an unseen context stores and
-    returns a fresh row of ``initial_weight``s; ``get`` and ``in`` never store."""
-
-    def __init__(self, initial_weight: float, width: int):
-        super().__init__()
-        self.fresh = [initial_weight] * width
-
-    def __missing__(self, context: Hashable) -> list[float]:
-        row = self[context] = self.fresh.copy()
-        return row
-
-
 class ReinforcementTable:
     """Map from context key to per-option accumulated weights.
 
     An unseen context reads as ``initial_weight`` for every option, so fresh
-    contexts behave uniformly.  Indexing ``entries`` (as :meth:`weights`,
-    :meth:`reinforce` and the agents do) stores its urn; ``entries.get``,
-    :meth:`peek` and :meth:`distribution` read it and store nothing.  Weights
+    contexts behave uniformly.  ``entries`` is a ``defaultdict`` whose factory
+    copies a row of ``initial_weight``s, so one rule holds: indexing it (as
+    :meth:`weights`, :meth:`reinforce` and the agents do) stores an urn, while
+    ``entries.get``, :meth:`peek` and :meth:`distribution` store nothing.  Weights
     are plain floats; fractional values are allowed (the
     information-preserving initialization needs them).
     """
@@ -86,7 +75,8 @@ class ReinforcementTable:
         self.options = list(options)
         self.position = {option: i for i, option in enumerate(self.options)}
         self.initial_weight = float(initial_weight)
-        self.entries = Urns(self.initial_weight, len(self.options))
+        # the factory is the row's own bound copy, not the table's: no cycle
+        self.entries = defaultdict(([self.initial_weight] * len(self.options)).copy)
 
     def weights(self, context: Hashable) -> list[float]:
         """Weight vector for a context, materializing it if unseen."""
@@ -95,7 +85,7 @@ class ReinforcementTable:
     def peek(self, context: Hashable) -> list[float]:
         """Weight vector for a context, without materializing it if unseen."""
         row = self.entries.get(context)
-        return self.entries.fresh.copy() if row is None else row
+        return self.entries.default_factory() if row is None else row
 
     def distribution(self, context: Hashable) -> list[float]:
         """Weights normalized to a probability vector (matching law)."""

@@ -164,14 +164,6 @@ def test_minimalist_act_distribution_softmax_on_raw_counts():
     assert max(abs(a - b) for a, b in zip(dist, expected)) < 1e-12
 
 
-def test_minimalist_normalized_variant():
-    recv = MinimalistReceiver(GAME, temperature=0.25, normalized=True)
-    recv.reinforce(("mA0", "mB0"), 0, 1.0)
-    naive = recv.naive_distribution(("mA0", "mB0"))
-    expected = tempered_softmax(naive, 0.25)
-    assert recv.act_distribution(("mA0", "mB0")) == expected
-
-
 def test_minimalist_json_round_trip():
     recv = MinimalistReceiver(GAME, temperature=5.0)
     recv.reinforce(("mA1", "mB1"), 3, 1.0)

@@ -40,7 +40,6 @@ def tiny_experiment(**overrides):
         "num_runs": 2,
         "seed": 0,
         "events": [{"turn": 200, "sender": 1, "old": "mB0", "new": "mB?"}],
-        "plot": True,
     }
     exp.update(overrides)
     return exp
@@ -138,7 +137,6 @@ def test_run_rejects_bad_event(tmp_path, capsys, case):
 SETTINGS = {
     "receiver": ("minimalist", "trajectory.receiver_kind", "minimalist", 1),
     "temperature": (50, "trajectory.temperature", 50.0, "hot"),
-    "normalized_scores": (True, "trajectory.normalized", True, 1),
     "introduction_mode": ("preserving", "trajectory.introduction_mode", "preserving", None),
     "alpha": (2, "trajectory.alpha", 2.0, True),
     "total_turns": (300, "trajectory.total_turns", 300, 300.0),
@@ -146,7 +144,6 @@ SETTINGS = {
     "snapshot_every": (50, "trajectory.snapshot_every", 50, "50"),
     "seed": (7, "trajectory.seed", 7, 1.5),
     "num_runs": (3, "num_runs", 3, True),
-    "plot": (False, "plot", False, 0),
     "comment": ("why", "comment", "why", ["why"]),
 }
 # the settings whose wrongly typed value no case below names already
@@ -306,6 +303,25 @@ def test_run_no_plot(tmp_path):
     out = tmp_path / "out"
     assert main(["--config", str(path), "--no-plot", "--out", str(out)]) == EXIT_OK
     assert not (out / "tiny.svg").exists()
+
+
+@pytest.mark.parametrize("key", ["normalized_scores", "plot"])
+def test_run_rejects_removed_setting(tmp_path, capsys, key):
+    path = write_config(tmp_path, [tiny_experiment(**{key: False})])
+    out = tmp_path / "out"
+    assert main(["--config", str(path), "--out", str(out)]) == EXIT_CONFIG_ERROR
+    assert f"experiments[0]: unknown key {key!r}" in capsys.readouterr().err
+    assert not out.exists()  # rejected before the first turn
+
+
+def test_run_rejects_plot_flag(tmp_path, capsys):
+    path = write_config(tmp_path, [tiny_experiment()])
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_:
+        main(["--config", str(path), "--out", str(out), "--plot"])
+    assert exit_.value.code == EXIT_CONFIG_ERROR
+    assert "unrecognized arguments: --plot" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_unknown_experiment_name(tmp_path):

@@ -59,7 +59,7 @@ def test_config_validation():
 def test_step_round_shape():
     senders, receiver = build_agents(small_config())
     rng = make_rng(0)
-    state, signal, act, reward = step(GAME, senders, receiver, rng, [1, 1, 1, 1])
+    state, signal, act, reward = step(GAME, senders, receiver, rng)
     assert 0 <= state < 4 and 0 <= act < 4
     assert signal[0] in ("mA0", "mA1") and signal[1] in ("mB0", "mB1")
     assert reward in (0.0, 1.0)
@@ -221,10 +221,9 @@ def test_pickled_agents_keep_storing_and_learning(receiver):
     original = run(config)
     copy = pickle.loads(pickle.dumps(original))
     rng, copy_rng = make_rng(5), make_rng(5)
-    prior = list(GAME.state_prior)
     for _ in range(300):
-        played = step(GAME, original.senders, original.receiver, rng, prior)
-        assert step(GAME, copy.senders, copy.receiver, copy_rng, prior) == played
+        played = step(GAME, original.senders, original.receiver, rng)
+        assert step(GAME, copy.senders, copy.receiver, copy_rng) == played
     assert urn_entries(copy.senders, copy.receiver) == urn_entries(
         original.senders, original.receiver
     )

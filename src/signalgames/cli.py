@@ -314,13 +314,39 @@ def run_experiment(
 
 
 def _check_senders(spec: GameSpec, senders: list[dict]) -> None:
-    """``ValueError`` naming ``senders[i]`` unless it is game sender i, at its alphabet size."""
+    """``ValueError`` naming ``senders[i]`` unless it is game sender i, at its
+    alphabet size, and holds no other sender's symbol."""
     found = dict(enumerate((s["sender_index"], len(s["table"]["options"])) for s in senders))
     expected = dict(enumerate((i, len(a)) for i, a in enumerate(spec.sender_alphabets)))
     for i in sorted(found.keys() | expected.keys()):
         got, want = found.get(i), expected.get(i)
         if got != want:
             raise ValueError(f"senders[{i}]: (sender_index, alphabet size) is {got}, not {want}")
+    owner: dict = {}
+    for i, sender in enumerate(senders):
+        for m in sender["table"]["options"]:
+            if owner.setdefault(m, i) != i:
+                raise ValueError(f"senders[{i}].table.options: {m!r} is also sender {owner[m]}'s")
+
+
+def _check_receiver(spec: GameSpec, senders: list[Sender], receiver: dict) -> None:
+    """``ValueError`` naming the ``receiver`` key at fault unless its options are
+    the game's acts, it reads raw urn sums, and a generalist's ``symbol_sender``
+    maps each live symbol to its sender and every symbol to a game sender."""
+    acts, options = list(range(spec.num_acts)), receiver["table"]["options"]
+    if options != acts or not all(type(a) is int for a in options):
+        raise ValueError(f"receiver.table.options: {options} are not the game's acts {acts}")
+    if receiver.get("normalized", False) is not False:
+        raise ValueError("receiver.normalized: only false, softmax over raw urn sums, is read")
+    if "symbol_sender" in receiver:
+        sender_of = dict(receiver["symbol_sender"])
+        for m, i in sender_of.items():
+            if type(i) is not int or not 0 <= i < spec.num_senders:
+                raise ValueError(f"receiver.symbol_sender.{m}: {i!r} is not a sender of the game")
+        for i, sender in enumerate(senders):
+            for m in sender.alphabet:
+                if sender_of.get(m) != i:
+                    raise ValueError(f"receiver.symbol_sender.{m}: {sender_of.get(m)!r}, not {i}")
 
 
 def load_policy(path) -> tuple[GameSpec, PolicySnapshot, list[Sender], object]:
@@ -333,6 +359,7 @@ def load_policy(path) -> tuple[GameSpec, PolicySnapshot, list[Sender], object]:
         spec = GameSpec.from_json_dict(document["game"])
         _check_senders(spec, document["senders"])
         senders = [Sender.from_json_dict(spec, data) for data in document["senders"]]
+        _check_receiver(spec, senders, document["receiver"])
         receiver = receiver_from_json_dict(spec, document["receiver"])
         snapshot = take_snapshot(spec, senders, receiver)
     except (KeyError, TypeError, ValueError) as exc:

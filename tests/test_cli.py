@@ -574,9 +574,9 @@ def test_line_chart_deterministic_svg():
 # -- the policy's senders are the game's senders ----------------------------
 
 
-def dump_fig2_policy(tmp_path):
-    # the figure 2 config at 1 run x 4,000 turns, its event at turn 2,000
-    document = json.loads((CONFIG_DIR / "fig2_conventional.json").read_text())
+def dump_figure_policy(tmp_path, figure="fig2_conventional"):
+    # a figure config at 1 run x 4,000 turns, its event (mB0 -> mB?) at turn 2,000
+    document = json.loads((CONFIG_DIR / f"{figure}.json").read_text())
     (experiment,) = document["experiments"]
     (event,) = experiment["events"]
     experiment.update(
@@ -585,16 +585,16 @@ def dump_fig2_policy(tmp_path):
     path = write_config(tmp_path, [experiment])
     out = tmp_path / "dump"
     assert main(["--config", str(path), "--no-plot", "--dump-policy", "--out", str(out)]) == EXIT_OK
-    return out / "fig2_conventional_policy.json"
+    return out / f"{figure}_policy.json"
 
 
-def audit_rewritten_policy(tmp_path, capsys, rewrite):
-    path = dump_fig2_policy(tmp_path)
+def audit_rewritten_policy(tmp_path, capsys, rewrite, figure="fig2_conventional", replaced="mA0"):
+    path = dump_figure_policy(tmp_path, figure)
     policy = json.loads(path.read_text())
     rewrite(policy)
     path.write_text(json.dumps(policy))
     capsys.readouterr()
-    code = main(["--audit", str(path), "--replace", "mA0"])
+    code = main(["--audit", str(path), "--replace", replaced])
     captured = capsys.readouterr()
     assert captured.out == ""
     return code, captured.err
@@ -647,3 +647,106 @@ def test_audit_rejects_policy_senders_unlike_the_game(tmp_path, capsys, rewrite,
     assert f"malformed policy file ({where}: " in err
     with pytest.raises(ConfigError, match=rf"{re.escape(where)}: \(sender_index, alphabet size\)"):
         load_policy(tmp_path / "dump" / "fig2_conventional_policy.json")
+
+
+def share_a_symbol(policy):
+    policy["senders"][1]["table"]["options"] = ["mA1", "mB1"]
+
+
+def test_audit_rejects_a_symbol_held_by_two_senders(tmp_path, capsys):
+    # this policy used to audit as "gap 0.1986 ... compositional", exit 0
+    code, err = audit_rewritten_policy(tmp_path, capsys, share_a_symbol)
+    assert code == EXIT_CONFIG_ERROR
+    assert "malformed policy file (senders[1].table.options: 'mA1' is also sender 0's)" in err
+
+
+# -- the policy's receiver is the game's and its senders' --------------------
+
+
+def cut_acts(policy):
+    table = policy["receiver"]["table"]
+    table["options"] = table["options"][:3]
+    for entry in table["entries"]:
+        entry["weights"] = entry["weights"][:3]
+
+
+def reverse_acts(policy):
+    policy["receiver"]["table"]["options"] = [3, 2, 1, 0]
+
+
+def label_acts(policy):
+    policy["receiver"]["table"]["options"] = ["a", "b", "c", "d"]
+
+
+def float_acts(policy):
+    policy["receiver"]["table"]["options"] = [0.0, 1.0, 2.0, 3.0]
+
+
+@pytest.mark.parametrize(
+    "rewrite",
+    [cut_acts, reverse_acts, label_acts, float_acts],
+    ids=["three-acts", "reversed", "labels", "floats"],
+)
+def test_audit_rejects_receiver_options_other_than_the_acts(tmp_path, capsys, rewrite):
+    # three acts used to fail as a numpy traceback, exit 1; the others loaded
+    code, err = audit_rewritten_policy(tmp_path, capsys, rewrite)
+    assert code == EXIT_CONFIG_ERROR
+    assert "malformed policy file (receiver.table.options: " in err
+
+
+def reassign_symbol(policy):
+    policy["receiver"]["symbol_sender"]["mA0"] = 1
+
+
+def forget_symbol(policy):
+    del policy["receiver"]["symbol_sender"]["mB1"]
+
+
+def add_symbol_of_no_sender(policy):
+    policy["receiver"]["symbol_sender"]["zz"] = 7
+
+
+@pytest.mark.parametrize(
+    "rewrite, symbol",
+    [(reassign_symbol, "mA0"), (forget_symbol, "mB1"), (add_symbol_of_no_sender, "zz")],
+    ids=["other-sender", "missing", "no-such-sender"],
+)
+def test_audit_rejects_symbol_sender_unlike_the_senders(tmp_path, capsys, rewrite, symbol):
+    # these used to exit 3, exit 1 with a KeyError, and exit 0
+    code, err = audit_rewritten_policy(
+        tmp_path, capsys, rewrite, "fig5_generalist_preserving", "mB1"
+    )
+    assert code == EXIT_CONFIG_ERROR
+    assert f"malformed policy file (receiver.symbol_sender.{symbol}: " in err
+
+
+def test_audit_reads_retired_symbols_in_symbol_sender(tmp_path):
+    path = dump_figure_policy(tmp_path, "fig5_generalist_preserving")
+    assert json.loads(path.read_text())["receiver"]["symbol_sender"]["mB0"] == 1  # retired
+    assert main(["--audit", str(path), "--replace", "mB1"]) == EXIT_OK
+
+
+def test_audit_reads_minimalist_policy_that_records_normalized_false(tmp_path, capsys):
+    # minimalist policy files used to record "normalized": false
+    path = dump_figure_policy(tmp_path, "fig3_minimalist")
+    capsys.readouterr()
+    code = main(["--audit", str(path), "--replace", "mB1"])
+    report = capsys.readouterr().out
+    policy = json.loads(path.read_text())
+    assert "normalized" not in policy["receiver"]
+    policy["receiver"]["normalized"] = False
+    path.write_text(json.dumps(policy))
+    assert main(["--audit", str(path), "--replace", "mB1"]) == code
+    assert capsys.readouterr().out == report
+
+
+def test_audit_rejects_minimalist_policy_with_normalized_scores(tmp_path, capsys):
+    code, err = audit_rewritten_policy(
+        tmp_path,
+        capsys,
+        lambda policy: policy["receiver"].update(normalized=True),
+        "fig3_minimalist",
+        "mB1",
+    )
+    assert code == EXIT_CONFIG_ERROR
+    assert "malformed policy file (receiver.normalized: " in err

@@ -467,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--runs", type=int, help="override num_runs for every experiment")
     parser.add_argument("--seed", type=int, help="override the base seed")
     parser.add_argument("--out", type=Path, default=Path("out"), help="output directory")
-    parser.add_argument("--no-plot", dest="plot", action="store_false", help="write no SVG")
+    parser.add_argument("--no-plot", dest="plot", action="store_false")
     parser.add_argument(
         "--dump-policy",
         action="store_true",

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from signalgames import cli, engine
 from signalgames.game import GameSpec, make_two_sender_game
+from signalgames.infotheory import compositional_expectation, info_table
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -260,3 +261,71 @@ def test_three_sender_choice_digest(name):
         **THREE_SENDER_RECEIVERS[name],
     )
     assert choice_digest(config) == THREE_SENDER_DIGESTS[name]
+
+
+# -- information tables -------------------------------------------------------
+
+# SHA-256, over the pre and post event snapshots of seeds 0, 1 and 2, of
+# float.hex() of every cell and of the to_csv() bytes of the four (rows,
+# cols) information tables and of compositional_expectation for every symbol.
+# Two-sender game: 2,000 turns, mB0 -> mB? at turn 1,000.  THREE_SENDER_GAME:
+# 2,000 turns, the events of test_three_sender_choice_digest.
+TABLE_GAMES = {
+    "two_sender": (make_two_sender_game(), (engine.ReplacementEvent(1_000, 1, "mB0", "mB?"),)),
+    "three_sender": (
+        THREE_SENDER_GAME,
+        (
+            engine.ReplacementEvent(600, 1, "y1", "y1?"),
+            engine.ReplacementEvent(1_300, 2, "z0", "z0?"),
+        ),
+    ),
+}
+TABLE_RECEIVERS = {
+    "conventional": dict(receiver_kind="conventional"),
+    "minimalist": dict(receiver_kind="minimalist", temperature=50.0),
+    "generalist_erasing": dict(receiver_kind="generalist", introduction_mode="erasing"),
+    "generalist_preserving": dict(receiver_kind="generalist", introduction_mode="preserving"),
+}
+# The erasing generalist's tables are the conventional receiver's, as its
+# choices are.
+TABLE_DIGESTS = {
+    "three_sender/conventional": "950896c9981d3662ae378aaec7c0aa96471e5c370da3d2b370e3e5bc167cc4ad",
+    "three_sender/generalist_erasing": "950896c9981d3662ae378aaec7c0aa96471e5c370da3d2b370e3e5bc167cc4ad",
+    "three_sender/generalist_preserving": "3d1d8da22e0fb8423cfc8c6d368ca98d54fcb7da787ce4e47306db578c06df31",
+    "three_sender/minimalist": "f36d76fdf3be288ce292bd0e6a5b303b7c82bb2fcca7ab6492950655554bae44",
+    "two_sender/conventional": "46758c5bafb026545ca1100798c483582aae173af4929225a258847de08157dd",
+    "two_sender/generalist_erasing": "46758c5bafb026545ca1100798c483582aae173af4929225a258847de08157dd",
+    "two_sender/generalist_preserving": "8d64e76055059862b264a1aea67d405c87cff42a31df7a3bc8cf352768b569d2",
+    "two_sender/minimalist": "d3d15c417beb9a1792cab5941ccf6a6f8733279e892624b60fa71d02bbf884db",
+}
+
+
+def table_digest(spec, events, receiver) -> str:
+    hasher = hashlib.sha256()
+    for seed in range(3):
+        config = engine.TrajectoryConfig(
+            spec=spec, total_turns=2_000, events=events, snapshot_every=2_000, seed=seed, **receiver
+        )
+        for _, snapshot in sorted(engine.run(config).event_snapshots.items()):
+            tables = [
+                info_table(snapshot, rows, cols)
+                for rows in ("atomic", "compound")
+                for cols in ("states", "acts")
+            ]
+            tables += [
+                compositional_expectation(snapshot, m)
+                for alphabet in snapshot.sender_alphabets
+                for m in alphabet
+            ]
+            for table in tables:
+                hasher.update(",".join(map(float.hex, table.cells.ravel().tolist())).encode())
+                hasher.update(table.to_csv().encode())
+    return hasher.hexdigest()
+
+
+@pytest.mark.parametrize("receiver", sorted(TABLE_RECEIVERS))
+@pytest.mark.parametrize("game", sorted(TABLE_GAMES))
+def test_information_table_digest(game, receiver):
+    spec, events = TABLE_GAMES[game]
+    digest = table_digest(spec, events, TABLE_RECEIVERS[receiver])
+    assert digest == TABLE_DIGESTS[f"{game}/{receiver}"]

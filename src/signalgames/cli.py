@@ -34,6 +34,7 @@ from .infotheory import (
     PolicySnapshot,
     compositional_conditionals,
     csv_cell,
+    csv_text,
     info_table,
     receiver_average_info,
     signal_info,
@@ -230,22 +231,22 @@ def parse_config(path) -> list[ExperimentConfig]:
 
 
 def _runs_csv(batch: BatchResult) -> str:
-    lines = [",".join(("run_id", "turn", "phase") + METRICS)]
+    rows = [("run_id", "turn", "phase") + METRICS]
     for run_id, trajectory in enumerate(batch.trajectories):
         for report in trajectory.reports:
             cells = [csv_cell(getattr(report, metric)) for metric in METRICS]
-            lines.append(",".join([str(run_id), str(report.turn), report.phase, *cells]))
-    return "\r\n".join(lines) + "\r\n"
+            rows.append([run_id, report.turn, report.phase, *cells])
+    return csv_text(rows)
 
 
 def _aggregate_csv(batch: BatchResult) -> str:
     columns = [f.name for f in fields(AggregateRow)]
-    lines = [",".join(columns)]
+    rows = [columns]
     for row in batch.aggregate:
         # after turn and phase, a mean and a std per metric
         cells = [csv_cell(getattr(row, column)) for column in columns[2:]]
-        lines.append(",".join([str(row.turn), row.phase, *cells]))
-    return "\r\n".join(lines) + "\r\n"
+        rows.append([row.turn, row.phase, *cells])
+    return csv_text(rows)
 
 
 def _policy_json(trajectory: Trajectory) -> str:

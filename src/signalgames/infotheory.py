@@ -14,6 +14,7 @@ they do not depend on how numpy groups the terms of a long sum.
 
 from __future__ import annotations
 
+import csv
 import io
 import itertools
 import math
@@ -174,6 +175,13 @@ def receiver_average_info(snapshot: PolicySnapshot) -> float:
     return _average_info(q, snapshot.receiver_conditionals, snapshot.state_prior)
 
 
+def csv_text(rows) -> str:
+    """``rows`` as CRLF-terminated CSV, quoting only fields that hold a comma, quote or newline."""
+    out = io.StringIO()
+    csv.writer(out).writerows(rows)
+    return out.getvalue()
+
+
 @dataclass
 class InfoTable:
     """Tabular information content: rows of pointwise info in bits."""
@@ -183,100 +191,83 @@ class InfoTable:
     cells: np.ndarray
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        out.write("," + ",".join(self.col_labels) + "\r\n")
-        for label, row in zip(self.row_labels, self.cells):
-            out.write(label + "," + ",".join(map(csv_cell, row)) + "\r\n")
-        return out.getvalue()
+        rows = [[label, *map(csv_cell, row)] for label, row in zip(self.row_labels, self.cells)]
+        return csv_text([["", *self.col_labels], *rows])
 
 
-def _row_conditionals(snapshot: PolicySnapshot, rows: str, cols: str) -> np.ndarray:
-    """P(column | message), one row per label of ``_row_labels(snapshot, rows)``.
-
-    Rows of messages that are never sent stay all zero.
-    """
-    joint = snapshot.joint()
-    if rows == "compound":
-        if cols == "acts":
-            return snapshot.receiver_conditionals.reshape(-1, snapshot.num_acts)
-        num = joint.reshape(len(joint), -1).T
-        den = num.sum(axis=1)
-    elif cols == "states":
-        prior = snapshot.state_prior[:, None]
-        num = np.concatenate([(prior * cond).T for cond in snapshot.sender_conditionals])
-        den = num.sum(axis=1)
-    else:
-        # acts of an atomic message: the receiver conditional averaged over
-        # the signals that contain it, weighted by how often each arrives
-        q = joint.sum(axis=0)
-        weighted = q[..., None] * snapshot.receiver_conditionals
-        num = np.concatenate([
-            np.moveaxis(weighted, i, 0).reshape(q.shape[i], -1, snapshot.num_acts).sum(axis=1)
-            for i in range(q.ndim)
-        ])
-        den = np.concatenate([
-            np.moveaxis(q, i, 0).reshape(q.shape[i], -1).sum(axis=1) for i in range(q.ndim)
-        ])
-    den = den[:, None]
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """``num / den``, and ``num`` where ``den`` is 0 (a message never sent)."""
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(den > 0, num / den, num)
 
 
-def _info_cells(snapshot: PolicySnapshot, rows: str, cols: str) -> np.ndarray:
-    if cols not in ("states", "acts"):
-        raise ValueError("cols must be 'states' or 'acts'")
-    prior = snapshot.state_prior  # for acts too: see receiver_average_info
-    cond = _row_conditionals(snapshot, rows, cols)
-    # cell by cell through pointwise_info: math.log2 and np.log2 differ in
-    # the last bit for some arguments, and table cells are math.log2 values
-    priors = np.broadcast_to(prior, cond.shape)
-    cells = map(pointwise_info, cond.ravel().tolist(), priors.ravel().tolist())
-    return np.fromiter(cells, dtype=float, count=cond.size).reshape(cond.shape)
-
-
-def _row_labels(snapshot: PolicySnapshot, rows: str) -> list:
-    if rows == "atomic":
-        return [m for alphabet in snapshot.sender_alphabets for m in alphabet]
-    if rows == "compound":
-        return snapshot.signals()
-    raise ValueError("rows must be 'atomic' or 'compound'")
-
-
-def _col_labels(snapshot: PolicySnapshot, cols: str) -> list[str]:
-    if cols == "states":
-        return [f"s{i}" for i in range(snapshot.num_states)]
-    return [f"a{i}" for i in range(snapshot.num_acts)]
+def _slot_average(q: np.ndarray, rho: np.ndarray, axis: int) -> np.ndarray:
+    """The receiver conditionals ``rho`` averaged over one ``axis`` of the
+    signals, weighted by how often each signal arrives (``q``)."""
+    return _ratio((q[..., None] * rho).sum(axis=axis), q.sum(axis=axis)[..., None])
 
 
 def info_table(snapshot: PolicySnapshot, rows: str = "atomic", cols: str = "states") -> InfoTable:
-    """Info vectors for all atomic messages or all compound signals."""
-    labels = _row_labels(snapshot, rows)
-    display = [signal_label(label) if rows == "compound" else label for label in labels]
-    cells = _info_cells(snapshot, rows, cols)
-    return InfoTable(display, _col_labels(snapshot, cols), cells)
+    """Info vectors for all atomic messages or all compound signals.
+
+    A cell is the pointwise info of P(column | row) against the state prior,
+    for acts too (see receiver_average_info).  Rows of messages that are never
+    sent keep all-zero conditionals.
+    """
+    if rows not in ("atomic", "compound") or cols not in ("states", "acts"):
+        raise ValueError("rows must be 'atomic' or 'compound' and cols 'states' or 'acts'")
+    joint = snapshot.joint()
+    if rows == "compound" and cols == "acts":
+        cond = snapshot.receiver_conditionals.reshape(-1, snapshot.num_acts)
+    elif rows == "compound":
+        num = joint.reshape(len(joint), -1).T
+        cond = _ratio(num, num.sum(axis=1, keepdims=True))
+    elif cols == "states":
+        prior = snapshot.state_prior[:, None]
+        num = np.concatenate([(prior * p).T for p in snapshot.sender_conditionals])
+        cond = _ratio(num, num.sum(axis=1, keepdims=True))
+    else:
+        # acts of an atomic message: the average over the signals that hold
+        # it, their other messages flattened into one axis
+        q, rho = joint.sum(axis=0), snapshot.receiver_conditionals
+        cond = np.concatenate([
+            _slot_average(
+                np.moveaxis(q, i, 0).reshape(size, -1),
+                np.moveaxis(rho, i, 0).reshape(size, -1, snapshot.num_acts),
+                axis=1,
+            )
+            for i, size in enumerate(q.shape)
+        ])
+    if rows == "compound":
+        labels = list(map(signal_label, snapshot.signals()))
+    else:
+        labels = [m for alphabet in snapshot.sender_alphabets for m in alphabet]
+    # cell by cell through pointwise_info: math.log2 and np.log2 differ in
+    # the last bit for some arguments, and table cells are math.log2 values
+    priors = np.broadcast_to(snapshot.state_prior, cond.shape).ravel().tolist()
+    cells = np.fromiter(map(pointwise_info, cond.ravel().tolist(), priors), float, cond.size)
+    col_labels = [f"{cols[0]}{i}" for i in range(cond.shape[1])]  # s0, s1, ... or a0, a1, ...
+    return InfoTable(labels, col_labels, cells.reshape(cond.shape))
 
 
 def compositional_conditionals(
-    snapshot: PolicySnapshot, old_symbol: str, new_symbol: str
+    snapshot: PolicySnapshot, old_symbol: str, new_symbol: str = None
 ) -> PolicySnapshot:
     """The post-replacement snapshot a compositional interpreter would hold.
 
-    Senders are unchanged up to the renaming.  Signals containing the new
-    symbol inherit the conditional of their remaining components: the
-    pre-replacement receiver conditionals averaged over the replaced slot,
-    weighted by how often each signal arrives.  Other signals keep theirs.
+    Senders are unchanged up to the renaming to ``new_symbol`` (by default
+    ``old_symbol + "?"``).  Signals containing the new symbol inherit the
+    conditional of their remaining components: the pre-replacement receiver
+    conditionals averaged over the replaced slot, weighted by how often each
+    signal arrives.  Other signals keep theirs.
     """
+    if new_symbol is None:
+        new_symbol = old_symbol + "?"
     slot = snapshot.sender_of(old_symbol)
     alphabet = snapshot.sender_alphabets[slot]
-    q = snapshot.joint().sum(axis=0)
-    rho = snapshot.receiver_conditionals
-    num = (q[..., None] * rho).sum(axis=slot)
-    den = q.sum(axis=slot)[..., None]
-    post = rho.copy()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        post[(slice(None),) * slot + (alphabet.index(old_symbol),)] = np.where(
-            den > 0, num / den, num
-        )
+    average = _slot_average(snapshot.joint().sum(axis=0), snapshot.receiver_conditionals, slot)
+    post = snapshot.receiver_conditionals.copy()
+    post[(slice(None),) * slot + (alphabet.index(old_symbol),)] = average
     alphabets = list(snapshot.sender_alphabets)
     alphabets[slot] = tuple(new_symbol if m == old_symbol else m for m in alphabet)
     return PolicySnapshot(
@@ -292,8 +283,6 @@ def compositional_expectation(
 ) -> InfoTable:
     """Acts table a perfectly compositional interpreter would show after
     replacing ``old_symbol`` by a fresh symbol."""
-    if new_symbol is None:
-        new_symbol = old_symbol + "?"
     post = compositional_conditionals(snapshot, old_symbol, new_symbol)
     return info_table(post, rows="compound", cols="acts")
 
@@ -302,7 +291,5 @@ def compositional_expected_average(
     snapshot: PolicySnapshot, old_symbol: str, new_symbol: str = None
 ) -> float:
     """Average transmitted information under the compositional expectation."""
-    if new_symbol is None:
-        new_symbol = old_symbol + "?"
     post = compositional_conditionals(snapshot, old_symbol, new_symbol)
     return receiver_average_info(post)

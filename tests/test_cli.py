@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import re
@@ -322,6 +324,19 @@ def test_run_rejects_plot_flag(tmp_path, capsys):
     assert exit_.value.code == EXIT_CONFIG_ERROR
     assert "unrecognized arguments: --plot" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_run_quotes_table_labels_that_hold_a_comma(tmp_path):
+    event = {"turn": 200, "sender": 1, "old": "mB0", "new": "mB,x"}
+    path = write_config(tmp_path, [tiny_experiment(events=[event])])
+    out = tmp_path / "out"
+    assert main(["--config", str(path), "--out", str(out), "--no-plot"]) == EXIT_OK
+    for phase in ("pre", "post"):
+        text = (out / f"tiny_event200_{phase}_acts.csv").read_text()
+        rows = list(csv.reader(io.StringIO(text)))
+        assert len(rows) == 5 and all(len(row) == 1 + 4 for row in rows)  # label, a0 ... a3
+    assert '"mA0 & mB,x",' in text
+    assert [row[0] for row in rows[1:]] == ["mA0 & mB,x", "mA0 & mB1", "mA1 & mB,x", "mA1 & mB1"]
 
 
 def test_run_unknown_experiment_name(tmp_path):

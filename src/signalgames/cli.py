@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
@@ -163,6 +164,9 @@ def _parse_experiment(data, where: str) -> ExperimentConfig:
     _require("name" in data, where, "missing key 'name'")
     name = data["name"]
     _require(isinstance(name, str) and name != "", where, "name must be a non-empty string")
+    # the name is the stem of every artifact written into --out
+    unsafe = name in (".", "..") or any(c in name for c in ("/", "\0", os.sep, os.altsep) if c)
+    _require(not unsafe, f"{where}.name", f"{name!r} is not a file name")
 
     spec = _parse_game(data.get("game"), f"{where}.game")
     settings = _fields(data, _TRAJECTORY_FIELDS, where)
@@ -191,6 +195,8 @@ def _check_experiment(exp: ExperimentConfig, where: str, runs_where: str) -> Non
 def _with_overrides(exp: ExperimentConfig, seed: Optional[int], runs: Optional[int]):
     """``exp`` with the command line's ``--seed`` and ``--runs``, checked by the
     rules a config file's values pass."""
+    if seed is None and runs is None:
+        return exp
     if seed is not None:
         exp = replace(exp, trajectory=replace(exp.trajectory, seed=seed))
     if runs is not None:
@@ -283,11 +289,8 @@ def run_experiment(
     dump_policy: bool = False,
 ) -> list[str]:
     """Run one experiment batch and write its artifacts; returns filenames."""
-    config = exp.trajectory
-    if seed is not None:
-        config = replace(config, seed=seed)
-    runs = num_runs if num_runs is not None else exp.num_runs
-    batch = run_batch(config, runs)
+    exp = _with_overrides(exp, seed, num_runs)
+    batch = run_batch(exp.trajectory, exp.num_runs)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[str] = []
@@ -502,8 +505,11 @@ def main(argv=None) -> int:
             experiments = [e for e in experiments if e.name == args.experiment]
             if not experiments:
                 raise ConfigError(f"no experiment named {args.experiment!r}")
-        if args.seed is not None or args.runs is not None:
-            experiments = [_with_overrides(e, args.seed, args.runs) for e in experiments]
+        experiments = [_with_overrides(e, args.seed, args.runs) for e in experiments]
+        try:
+            args.out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"--out: cannot create output directory ({exc})") from exc
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
@@ -523,7 +529,6 @@ def main(argv=None) -> int:
             failed = True
             manifest[exp.name] = [f"FAILED: {exc}"]
             print(f"{exp.name}: FAILED ({exc})", file=sys.stderr)
-    args.out.mkdir(parents=True, exist_ok=True)
     (args.out / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     )

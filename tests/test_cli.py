@@ -326,6 +326,25 @@ def test_run_rejects_plot_flag(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_run_rejects_out_that_is_a_file(tmp_path, capsys):
+    path = write_config(tmp_path, [tiny_experiment()])
+    out = tmp_path / "afile"
+    out.write_text("")
+    assert main(["--config", str(path), "--out", str(out)]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert "config error: --out: cannot create output directory" in err
+    assert "FAILED" not in err  # rejected before the first turn
+
+
+@pytest.mark.parametrize("name", ["a/b", "../escaped", ".", ".."])
+def test_run_rejects_name_that_is_not_a_file_name(tmp_path, capsys, name):
+    path = write_config(tmp_path, [tiny_experiment(name=name)])
+    out = tmp_path / "work" / "out"
+    assert main(["--config", str(path), "--out", str(out)]) == EXIT_CONFIG_ERROR
+    assert f"experiments[0].name: {name!r} is not a file name" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]  # nothing written
+
+
 def test_run_quotes_table_labels_that_hold_a_comma(tmp_path):
     event = {"turn": 200, "sender": 1, "old": "mB0", "new": "mB,x"}
     path = write_config(tmp_path, [tiny_experiment(events=[event])])

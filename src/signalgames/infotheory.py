@@ -227,8 +227,8 @@ def info_table(snapshot: PolicySnapshot, rows: str = "atomic", cols: str = "stat
         num = np.concatenate([(prior * p).T for p in snapshot.sender_conditionals])
         cond = _ratio(num, num.sum(axis=1, keepdims=True))
     else:
-        # acts of an atomic message: the average over the signals that hold
-        # it, their other messages flattened into one axis
+        # acts of an atomic message: the average over the signals that hold it,
+        # their other messages on one axis (summing over several moves last bits)
         q, rho = joint.sum(axis=0), snapshot.receiver_conditionals
         cond = np.concatenate([
             _slot_average(

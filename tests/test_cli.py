@@ -350,12 +350,15 @@ def test_run_quotes_table_labels_that_hold_a_comma(tmp_path):
     path = write_config(tmp_path, [tiny_experiment(events=[event])])
     out = tmp_path / "out"
     assert main(["--config", str(path), "--out", str(out), "--no-plot"]) == EXIT_OK
+    tables = {}
     for phase in ("pre", "post"):
         text = (out / f"tiny_event200_{phase}_acts.csv").read_text()
-        rows = list(csv.reader(io.StringIO(text)))
-        assert len(rows) == 5 and all(len(row) == 1 + 4 for row in rows)  # label, a0 ... a3
-    assert '"mA0 & mB,x",' in text
-    assert [row[0] for row in rows[1:]] == ["mA0 & mB,x", "mA0 & mB1", "mA1 & mB,x", "mA1 & mB1"]
+        tables[phase] = list(csv.reader(io.StringIO(text)))
+        assert len(tables[phase]) == 5
+        assert all(len(row) == 1 + 4 for row in tables[phase])  # label, a0 ... a3
+    assert '\n"mA0 & mB,x",' in (out / "tiny_event200_post_acts.csv").read_text()
+    labels = [row[0] for row in tables["post"][1:]]
+    assert labels == ["mA0 & mB,x", "mA0 & mB1", "mA1 & mB,x", "mA1 & mB1"]
 
 
 def test_run_unknown_experiment_name(tmp_path):

@@ -193,8 +193,8 @@ def _check_experiment(exp: ExperimentConfig, where: str, runs_where: str) -> Non
 
 
 def _with_overrides(exp: ExperimentConfig, seed: Optional[int], runs: Optional[int]):
-    """``exp`` with the command line's ``--seed`` and ``--runs``, checked by the
-    rules a config file's values pass."""
+    """``exp`` with ``seed`` and ``runs`` (``--seed`` and ``--runs``) applied and
+    checked by the rules a config file's values pass; ``exp`` if both are None."""
     if seed is None and runs is None:
         return exp
     if seed is not None:

@@ -161,3 +161,29 @@ def test_traced_per_turn_call_counts(monkeypatch, receiver):
         assert per_turn_softmax == 300
     else:
         assert tracer.calls("agents.tempered_softmax") == 0
+
+
+@pytest.mark.parametrize(
+    "receiver",
+    (dict(receiver_kind="conventional"), dict(receiver_kind="generalist")),
+    ids=lambda receiver: receiver["receiver_kind"],
+)
+def test_run_reports_around_each_event_in_order(receiver):
+    # ``engine.event_handling.s`` sums the two spans on each side of every
+    # ``apply_event`` among ``engine.run``'s children, so the pre snapshot and
+    # report must come just before it and the post ones just after.  The event
+    # at turn 200 also falls on the cadence, which adds no regular report.
+    config = TrajectoryConfig(
+        spec=make_two_sender_game(),
+        total_turns=300,
+        snapshot_every=100,
+        events=(ReplacementEvent(150, 1, "mB0", "mB?"), ReplacementEvent(200, 0, "mA1", "mA?")),
+        **receiver,
+    )
+    with load_spans().Tracer().installed() as tracer:
+        engine.run(config)
+    (run,) = [i for i, record in enumerate(tracer.records) if record[0] == "engine.run"]
+    children = [name for name, _, _, parent in tracer.records if parent == run]
+    report = ["engine.take_snapshot", "engine.make_report"]
+    event = [*report, "engine.apply_event", *report]
+    assert children == ["game.validate", *report, *report, *event, *event, *report]

@@ -11,6 +11,51 @@ from signalgames.game import (
 )
 
 
+# The bundled games spelled out: repr tells 1 from 1.0 and shows every bit.
+ATOMIC_GAMES = {
+    2: GameSpec(
+        num_states=2,
+        sender_alphabets=(("m0", "m1"),),
+        num_acts=2,
+        state_prior=(0.5, 0.5),
+        utility=((1.0, 0.0), (0.0, 1.0)),
+    ),
+    3: GameSpec(
+        num_states=3,
+        sender_alphabets=(("m0", "m1", "m2"),),
+        num_acts=3,
+        state_prior=(1 / 3, 1 / 3, 1 / 3),
+        utility=((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)),
+    ),
+    5: GameSpec(
+        num_states=5,
+        sender_alphabets=(("m0", "m1", "m2", "m3", "m4"),),
+        num_acts=5,
+        state_prior=(0.2, 0.2, 0.2, 0.2, 0.2),
+        utility=(
+            (1.0, 0.0, 0.0, 0.0, 0.0),
+            (0.0, 1.0, 0.0, 0.0, 0.0),
+            (0.0, 0.0, 1.0, 0.0, 0.0),
+            (0.0, 0.0, 0.0, 1.0, 0.0),
+            (0.0, 0.0, 0.0, 0.0, 1.0),
+        ),
+    ),
+}
+
+TWO_SENDER_GAME = GameSpec(
+    num_states=4,
+    sender_alphabets=(("mA0", "mA1"), ("mB0", "mB1")),
+    num_acts=4,
+    state_prior=(0.25, 0.25, 0.25, 0.25),
+    utility=(
+        (1.0, 0.0, 0.0, 0.0),
+        (0.0, 1.0, 0.0, 0.0),
+        (0.0, 0.0, 1.0, 0.0),
+        (0.0, 0.0, 0.0, 1.0),
+    ),
+)
+
+
 def test_atomic_game_shape():
     game = make_atomic_game(3)
     assert game.num_states == 3
@@ -20,6 +65,8 @@ def test_atomic_game_shape():
     assert np.allclose(game.prior_array(), [1 / 3] * 3)
     # identity utility: act i pays off exactly in state i
     assert np.allclose(game.utility_array(), np.eye(3))
+    for n, expected in ATOMIC_GAMES.items():
+        assert repr(make_atomic_game(n)) == repr(expected)
 
 
 def test_atomic_game_rejects_tiny():
@@ -34,6 +81,7 @@ def test_two_sender_game_shape():
     assert game.sender_alphabets == (("mA0", "mA1"), ("mB0", "mB1"))
     assert game.num_senders == 2
     assert validate(game) == []
+    assert repr(game) == repr(TWO_SENDER_GAME)
 
 
 def test_validate_flags_problems():

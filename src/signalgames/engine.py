@@ -202,6 +202,13 @@ def make_report(spec: GameSpec, snapshot: PolicySnapshot, turn: int, phase: str)
     )
 
 
+def _report(trajectory: Trajectory, turn: int, phase: str) -> PolicySnapshot:
+    """Snapshot the trajectory's agents, append the snapshot's report and return it."""
+    snapshot = take_snapshot(trajectory.config.spec, trajectory.senders, trajectory.receiver)
+    trajectory.reports.append(make_report(trajectory.config.spec, snapshot, turn, phase))
+    return snapshot
+
+
 def run(config: TrajectoryConfig) -> Trajectory:
     """Execute one seeded trajectory, returning its metric reports."""
     config.check()
@@ -210,31 +217,19 @@ def run(config: TrajectoryConfig) -> Trajectory:
     senders, receiver = build_agents(config)
     events_by_turn = {event.turn: event for event in config.events}
 
-    reports = [make_report(spec, take_snapshot(spec, senders, receiver), 0, "regular")]
-    event_snapshots: dict[tuple[int, str], PolicySnapshot] = {}
+    trajectory = Trajectory(config=config, reports=[], senders=senders, receiver=receiver)
+    _report(trajectory, 0, "regular")
     for turn in range(1, config.total_turns + 1):
         step(spec, senders, receiver, rng)
         event = events_by_turn.get(turn)
         if event is not None:
             # events fire after the turn's step; snapshot both sides of it
-            snapshot = take_snapshot(spec, senders, receiver)
-            event_snapshots[(turn, "pre")] = snapshot
-            reports.append(make_report(spec, snapshot, turn, "pre"))
+            trajectory.event_snapshots[(turn, "pre")] = _report(trajectory, turn, "pre")
             apply_event(event, senders, receiver)
-            snapshot = take_snapshot(spec, senders, receiver)
-            event_snapshots[(turn, "post")] = snapshot
-            reports.append(make_report(spec, snapshot, turn, "post"))
+            trajectory.event_snapshots[(turn, "post")] = _report(trajectory, turn, "post")
         elif turn % config.snapshot_every == 0:
-            reports.append(
-                make_report(spec, take_snapshot(spec, senders, receiver), turn, "regular")
-            )
-    return Trajectory(
-        config=config,
-        reports=reports,
-        senders=senders,
-        receiver=receiver,
-        event_snapshots=event_snapshots,
-    )
+            _report(trajectory, turn, "regular")
+    return trajectory
 
 
 @dataclass

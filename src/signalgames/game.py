@@ -7,6 +7,7 @@ slot in a partial signal.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,38 +111,32 @@ def _check(spec: GameSpec) -> GameSpec:
     return spec
 
 
+def _identity_game(sender_alphabets: tuple[tuple[str, ...], ...]) -> GameSpec:
+    """One equiprobable state per compound signal, as many acts, reward 1 for the matching act."""
+    n = math.prod(map(len, sender_alphabets))
+    return _check(
+        GameSpec(
+            num_states=n,
+            sender_alphabets=sender_alphabets,
+            num_acts=n,
+            state_prior=tuple(1.0 / n for _ in range(n)),
+            utility=tuple(
+                tuple(1.0 if i == j else 0.0 for j in range(n)) for i in range(n)
+            ),
+        )
+    )
+
+
 def make_atomic_game(n: int) -> GameSpec:
     """The atomic n-game: one sender, n states/messages/acts, identity reward."""
     if n < 2:
         raise InvalidSpecError("atomic game needs at least 2 states")
-    identity = tuple(
-        tuple(1.0 if i == j else 0.0 for j in range(n)) for i in range(n)
-    )
-    return _check(
-        GameSpec(
-            num_states=n,
-            sender_alphabets=(tuple(f"m{i}" for i in range(n)),),
-            num_acts=n,
-            state_prior=tuple(1.0 / n for _ in range(n)),
-            utility=identity,
-        )
-    )
+    return _identity_game((tuple(f"m{i}" for i in range(n)),))
 
 
 def make_two_sender_game() -> GameSpec:
     """The 4x4x4 two-sender game: two binary senders, four states and acts."""
-    identity = tuple(
-        tuple(1.0 if i == j else 0.0 for j in range(4)) for i in range(4)
-    )
-    return _check(
-        GameSpec(
-            num_states=4,
-            sender_alphabets=(("mA0", "mA1"), ("mB0", "mB1")),
-            num_acts=4,
-            state_prior=(0.25, 0.25, 0.25, 0.25),
-            utility=identity,
-        )
-    )
+    return _identity_game((("mA0", "mA1"), ("mB0", "mB1")))
 
 
 def signal_label(signal: CompoundSignal) -> str:

@@ -93,6 +93,8 @@ def validate(spec: GameSpec) -> list[str]:
     symbols = spec.all_symbols()
     if len(symbols) != len(set(symbols)):
         problems.append("duplicate message symbols across senders")
+    if spec.num_acts != spec.num_states:
+        problems.append(f"num_acts is {spec.num_acts}, not num_states {spec.num_states}")
     utility = spec.utility_array()
     if utility.shape != (spec.num_states, spec.num_acts):
         problems.append(

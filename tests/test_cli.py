@@ -271,6 +271,25 @@ def test_run_rejects_game_that_cannot_run(tmp_path, capsys, game):
     assert not out.exists()  # rejected before the first turn
 
 
+def test_run_rejects_game_whose_acts_are_not_its_states(tmp_path, capsys):
+    # acts are read against the state prior; this game used to fail at its
+    # first snapshot as "odd: FAILED (operands could not be broadcast ...)", exit 1
+    game = {
+        "num_states": 2,
+        "sender_alphabets": [["m0", "m1"]],
+        "num_acts": 3,
+        "state_prior": [0.5, 0.5],
+        "utility": [[1, 0, 0], [0, 1, 0]],
+    }
+    experiment = tiny_experiment(name="odd", game=game, total_turns=300, events=[])
+    path = write_config(tmp_path, [experiment])
+    out = tmp_path / "out"
+    assert main(["--config", str(path), "--out", str(out)]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert "experiments[0].game: bad game spec (num_acts is 3, not num_states 2)" in err
+    assert not out.exists()
+
+
 # -- run command ------------------------------------------------------------
 
 
@@ -729,6 +748,20 @@ def test_audit_rejects_receiver_options_other_than_the_acts(tmp_path, capsys, re
     code, err = audit_rewritten_policy(tmp_path, capsys, rewrite)
     assert code == EXIT_CONFIG_ERROR
     assert "malformed policy file (receiver.table.options: " in err
+
+
+def three_acts_game(policy):
+    cut_acts(policy)
+    game = policy["game"]
+    game["num_acts"] = 3
+    game["utility"] = [row[:3] for row in game["utility"]]
+
+
+def test_audit_rejects_policy_whose_acts_are_not_its_states(tmp_path, capsys):
+    # this policy used to fail as a numpy traceback from info_table, exit 1
+    code, err = audit_rewritten_policy(tmp_path, capsys, three_acts_game)
+    assert code == EXIT_CONFIG_ERROR
+    assert "malformed policy file (num_acts is 3, not num_states 4)" in err
 
 
 def reassign_symbol(policy):

@@ -165,10 +165,10 @@ def sender_average_info(snapshot: PolicySnapshot) -> float:
 def receiver_average_info(snapshot: PolicySnapshot) -> float:
     """Average information the compound signals carry about acts (bits).
 
-    Acts are read against the state prior.  The games in scope pair exactly
-    one optimal act with each state, so information about acts has the same
-    baseline as information about states: converged tables show log2(1/P(s))
-    cells and fresh signals show all-zero rows.  Acts tables use the same
+    Acts are read against the state prior.  ``game.validate`` requires as
+    many acts as states, so information about acts has the same baseline
+    as information about states: converged tables show log2(1/P(s)) cells
+    and fresh signals show all-zero rows.  Acts tables use the same
     baseline.
     """
     q = snapshot.joint().sum(axis=0)
@@ -216,11 +216,10 @@ def info_table(snapshot: PolicySnapshot, rows: str = "atomic", cols: str = "stat
     """
     if rows not in ("atomic", "compound") or cols not in ("states", "acts"):
         raise ValueError("rows must be 'atomic' or 'compound' and cols 'states' or 'acts'")
-    joint = snapshot.joint()
     if rows == "compound" and cols == "acts":
         cond = snapshot.receiver_conditionals.reshape(-1, snapshot.num_acts)
     elif rows == "compound":
-        num = joint.reshape(len(joint), -1).T
+        num = snapshot.joint().reshape(snapshot.num_states, -1).T
         cond = _ratio(num, num.sum(axis=1, keepdims=True))
     elif cols == "states":
         prior = snapshot.state_prior[:, None]
@@ -229,7 +228,7 @@ def info_table(snapshot: PolicySnapshot, rows: str = "atomic", cols: str = "stat
     else:
         # acts of an atomic message: the average over the signals that hold it,
         # their other messages on one axis (summing over several moves last bits)
-        q, rho = joint.sum(axis=0), snapshot.receiver_conditionals
+        q, rho = snapshot.joint().sum(axis=0), snapshot.receiver_conditionals
         cond = np.concatenate([
             _slot_average(
                 np.moveaxis(q, i, 0).reshape(size, -1),

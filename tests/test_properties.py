@@ -1,0 +1,136 @@
+"""The run loop's invariants over generated games.
+
+The golden tests pin a few configs bit for bit; these check general claims
+on small games the figure configs miss: 1-3 senders of 2-3 symbols each,
+2-4 states with as many acts, a positive prior, utilities in {0, 0.25, 1},
+every receiver setting, and 0-3 chained replacement events on distinct
+turns.  For each generated run:
+
+* the reports equal the brute-force oracle's metrics to 1e-9 at every event
+  snapshot, and at the end when the last report falls on the last turn;
+* ``run`` leaves the agents a plain loop of ``step`` and ``apply_event`` on
+  the same seed leaves, so its snapshots change no policy and it draws the
+  same choices as a bare ``Generator`` does;
+* agents read back from their JSON give array-equal snapshots.
+"""
+
+import json
+import math
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from signalgames import engine
+from signalgames.agents import Sender, receiver_from_json_dict
+from signalgames.game import GameSpec
+from signalgames.oracle import enumerate_outcomes, oracle_metrics
+from signalgames.reinforcement import make_rng
+
+RECEIVERS = st.one_of(
+    st.just(dict(receiver_kind="conventional")),
+    st.builds(
+        dict, receiver_kind=st.just("minimalist"), temperature=st.sampled_from([50.0, 2000.0])
+    ),
+    st.just(dict(receiver_kind="generalist", introduction_mode="erasing")),
+    st.builds(
+        dict,
+        receiver_kind=st.just("generalist"),
+        introduction_mode=st.just("preserving"),
+        alpha=st.sampled_from([0.5, 1.0, 2.0]),
+    ),
+)
+
+
+@st.composite
+def games(draw) -> GameSpec:
+    sizes = draw(st.lists(st.integers(2, 3), min_size=1, max_size=3))
+    n = draw(st.integers(2, 4))
+    weights = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    rows = st.lists(st.sampled_from([0.0, 0.25, 1.0]), min_size=n, max_size=n)
+    utility = draw(st.lists(rows, min_size=n, max_size=n))
+    paying = draw(st.integers(0, n * n - 1))  # at least one cell pays
+    utility[paying // n][paying % n] = draw(st.sampled_from([0.25, 1.0]))
+    return GameSpec(
+        num_states=n,
+        sender_alphabets=tuple(
+            tuple(f"s{i}m{j}" for j in range(size)) for i, size in enumerate(sizes)
+        ),
+        num_acts=n,
+        state_prior=tuple(w / sum(weights) for w in weights),
+        utility=tuple(map(tuple, utility)),
+    )
+
+
+@st.composite
+def configs(draw) -> engine.TrajectoryConfig:
+    spec = draw(games())
+    total_turns = draw(st.integers(0, 600))
+    turns = draw(
+        st.lists(st.integers(1, max(total_turns, 1)), max_size=min(total_turns, 3), unique=True)
+    )
+    # each event renames a symbol live at its turn, so later ones may rename
+    # an earlier one's fresh symbol
+    alphabets = [list(alphabet) for alphabet in spec.sender_alphabets]
+    events = []
+    for k, turn in enumerate(sorted(turns)):
+        sender = draw(st.integers(0, len(alphabets) - 1))
+        old = draw(st.sampled_from(alphabets[sender]))
+        alphabets[sender][alphabets[sender].index(old)] = f"r{k}"
+        events.append(engine.ReplacementEvent(turn, sender, old, f"r{k}"))
+    return engine.TrajectoryConfig(
+        spec=spec,
+        total_turns=total_turns,
+        events=tuple(events),
+        snapshot_every=draw(st.integers(1, 200)),
+        seed=draw(st.integers(0, 2**16)),
+        **draw(RECEIVERS),
+    )
+
+
+def policy(senders, receiver) -> list[dict]:
+    return [sender.to_json_dict() for sender in senders] + [receiver.to_json_dict()]
+
+
+@settings(max_examples=60)
+@given(config=configs())
+def test_run_invariants(config):
+    spec = config.spec
+    trajectory = engine.run(config)
+    senders, receiver = trajectory.senders, trajectory.receiver
+
+    assert len(trajectory.event_snapshots) == 2 * len(config.events)
+    snapshots = dict(trajectory.event_snapshots)
+    last = trajectory.reports[-1]
+    if last.turn == config.total_turns:
+        snapshots[(last.turn, last.phase)] = engine.take_snapshot(spec, senders, receiver)
+    reports = {(r.turn, r.phase): r for r in trajectory.reports}
+    for key, snapshot in snapshots.items():
+        expected = oracle_metrics(enumerate_outcomes(spec, snapshot))
+        report = reports[key]
+        assert math.isclose(report.expected_payoff, expected.expected_payoff, abs_tol=1e-9)
+        assert math.isclose(report.sender_info_bits, expected.sender_average_info, abs_tol=1e-9)
+        assert math.isclose(
+            report.receiver_info_bits, expected.receiver_average_info, abs_tol=1e-9
+        )
+
+    plain_senders, plain_receiver = engine.build_agents(config)
+    rng = make_rng(config.seed)
+    events = {event.turn: event for event in config.events}
+    for turn in range(1, config.total_turns + 1):
+        engine.step(spec, plain_senders, plain_receiver, rng)
+        if turn in events:
+            engine.apply_event(events[turn], plain_senders, plain_receiver)
+    assert policy(plain_senders, plain_receiver) == policy(senders, receiver)
+
+    *sender_data, receiver_data = json.loads(json.dumps(policy(senders, receiver)))
+    loaded = engine.take_snapshot(
+        spec,
+        [Sender.from_json_dict(spec, data) for data in sender_data],
+        receiver_from_json_dict(spec, receiver_data),
+    )
+    original = engine.take_snapshot(spec, senders, receiver)
+    assert loaded.sender_alphabets == original.sender_alphabets
+    np.testing.assert_array_equal(loaded.state_prior, original.state_prior)
+    for actual, expected in zip(loaded.sender_conditionals, original.sender_conditionals):
+        np.testing.assert_array_equal(actual, expected)
+    np.testing.assert_array_equal(loaded.receiver_conditionals, original.receiver_conditionals)

@@ -252,8 +252,11 @@ def test_parse_rejects_unreadable_file(tmp_path):
         {"state_prior": [1.0, 0.0]},
         {"utility": [[1, -1], [-1, 1]]},
         {"utility": [[1, float("nan")], [0, 1]]},
+        # acts are read against the state prior; this game used to fail at its
+        # first snapshot ("operands could not be broadcast"), exit 1
+        {"num_acts": 3, "utility": [[1, 0, 0], [0, 1, 0]]},
     ],
-    ids=["prior-nan", "prior-zero", "utility-negative", "utility-nan"],
+    ids=["prior-nan", "prior-zero", "utility-negative", "utility-nan", "acts-not-states"],
 )
 def test_run_rejects_game_that_cannot_run(tmp_path, capsys, game):
     spec = {
@@ -269,25 +272,6 @@ def test_run_rejects_game_that_cannot_run(tmp_path, capsys, game):
     assert main(["--config", str(path), "--out", str(out)]) == EXIT_CONFIG_ERROR
     assert "experiments[0].game: " in capsys.readouterr().err
     assert not out.exists()  # rejected before the first turn
-
-
-def test_run_rejects_game_whose_acts_are_not_its_states(tmp_path, capsys):
-    # acts are read against the state prior; this game used to fail at its
-    # first snapshot as "odd: FAILED (operands could not be broadcast ...)", exit 1
-    game = {
-        "num_states": 2,
-        "sender_alphabets": [["m0", "m1"]],
-        "num_acts": 3,
-        "state_prior": [0.5, 0.5],
-        "utility": [[1, 0, 0], [0, 1, 0]],
-    }
-    experiment = tiny_experiment(name="odd", game=game, total_turns=300, events=[])
-    path = write_config(tmp_path, [experiment])
-    out = tmp_path / "out"
-    assert main(["--config", str(path), "--out", str(out)]) == EXIT_CONFIG_ERROR
-    err = capsys.readouterr().err
-    assert "experiments[0].game: bad game spec (num_acts is 3, not num_states 2)" in err
-    assert not out.exists()
 
 
 # -- run command ------------------------------------------------------------

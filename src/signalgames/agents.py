@@ -66,8 +66,6 @@ class Sender:
         """Relabel every old-symbol ball; reinforcements carry over exactly."""
         if old_symbol not in self.alphabet:
             raise KeyError(f"{old_symbol!r} not in sender alphabet")
-        if new_symbol in self.alphabet:
-            raise SymbolCollisionError(f"{new_symbol!r} already in alphabet")
         self.table.relabel(old_symbol, new_symbol)
 
     def conditional_matrix(self) -> np.ndarray:

@@ -29,7 +29,7 @@ from .engine import (
     run_batch,
     take_snapshot,
 )
-from .game import GameSpec, make_atomic_game, make_two_sender_game
+from .game import GameSpec, make_atomic_game, make_two_sender_game, signal_label
 from .infotheory import (
     NEG_INF,
     PolicySnapshot,
@@ -40,7 +40,7 @@ from .infotheory import (
     receiver_average_info,
     signal_info,
 )
-from .reinforcement import SymbolCollisionError
+from .reinforcement import SymbolCollisionError, _key_from_json, _key_parts
 from .svgplot import line_chart
 
 EXIT_OK = 0
@@ -140,7 +140,7 @@ def _parse_game(value, where: str) -> GameSpec:
             return make_atomic_game(value["atomic"])
         try:
             return GameSpec.from_json_dict(value)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{where}: bad game spec ({exc})") from exc
     raise ConfigError(f"{where}: game must be 'two_sender', {{'atomic': n}}, or a spec dict")
 
@@ -329,28 +329,41 @@ def _check_senders(spec: GameSpec, senders: list[dict]) -> None:
     owner: dict = {}
     for i, sender in enumerate(senders):
         for m in sender["table"]["options"]:
+            if type(m) is not str:
+                raise ValueError(f"senders[{i}].table.options: {json.dumps(m)} is not a string")
             if owner.setdefault(m, i) != i:
                 raise ValueError(f"senders[{i}].table.options: {m!r} is also sender {owner[m]}'s")
 
 
 def _check_receiver(spec: GameSpec, senders: list[Sender], receiver: dict) -> None:
     """``ValueError`` naming the ``receiver`` key at fault unless its options are
-    the game's acts, it reads raw urn sums, and a generalist's ``symbol_sender``
-    maps each live symbol to its sender and every symbol to a game sender."""
+    the game's acts, it reads raw urn sums, a generalist's ``symbol_sender``
+    maps each live symbol to its sender and every symbol to a game sender, and
+    its urn keys are its kind's: full signals, symbols or sets of known symbols."""
     acts, options = list(range(spec.num_acts)), receiver["table"]["options"]
     if options != acts or not all(type(a) is int for a in options):
         raise ValueError(f"receiver.table.options: {options} are not the game's acts {acts}")
     if receiver.get("normalized", False) is not False:
         raise ValueError("receiver.normalized: only false, softmax over raw urn sums, is read")
-    if "symbol_sender" in receiver:
-        sender_of = dict(receiver["symbol_sender"])
-        for m, i in sender_of.items():
-            if type(i) is not int or not 0 <= i < spec.num_senders:
-                raise ValueError(f"receiver.symbol_sender.{m}: {i!r} is not a sender of the game")
-        for i, sender in enumerate(senders):
-            for m in sender.alphabet:
-                if sender_of.get(m) != i:
-                    raise ValueError(f"receiver.symbol_sender.{m}: {sender_of.get(m)!r}, not {i}")
+    sender_of = dict(receiver.get("symbol_sender", {}))
+    for m, i in sender_of.items():
+        if type(i) is not int or not 0 <= i < spec.num_senders:
+            raise ValueError(f"receiver.symbol_sender.{m}: {i!r} is not a sender of the game")
+    for i, sender in enumerate(senders):
+        for m in sender.alphabet:
+            if "symbol_sender" in receiver and sender_of.get(m) != i:
+                raise ValueError(f"receiver.symbol_sender.{m}: {sender_of.get(m)!r}, not {i}")
+    kind = receiver.get("kind")
+    fits = {
+        "conventional": lambda key: type(key) is tuple and len(key) == spec.num_senders,
+        "minimalist": lambda key: type(key) is str,
+        "generalist": lambda key: type(key) is frozenset and key <= sender_of.keys(),
+    }.get(kind, lambda key: True)
+    for j, entry in enumerate(receiver["table"]["entries"]):
+        key = _key_from_json(entry["context"])
+        if not (fits(key) and all(type(m) is str for m in _key_parts(key))):
+            context = json.dumps(entry["context"])
+            raise ValueError(f"receiver.table.entries[{j}].context: {context} is not a {kind} key")
 
 
 def load_policy(path) -> tuple[GameSpec, PolicySnapshot, list[Sender], object]:
@@ -366,7 +379,7 @@ def load_policy(path) -> tuple[GameSpec, PolicySnapshot, list[Sender], object]:
         _check_receiver(spec, senders, document["receiver"])
         receiver = receiver_from_json_dict(spec, document["receiver"])
         snapshot = take_snapshot(spec, senders, receiver)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{path}: malformed policy file ({exc})") from exc
     return spec, snapshot, senders, receiver
 
@@ -409,9 +422,11 @@ def audit_command(
     event = ReplacementEvent(0, sender_index, replaced_symbol, new_symbol)
     try:
         apply_event(event, senders, receiver)
+        post_snapshot = take_snapshot(spec, senders, receiver)
     except SymbolCollisionError as exc:
         raise ConfigError(f"fresh symbol {new_symbol!r} is already in use ({exc})") from exc
-    post_snapshot = take_snapshot(spec, senders, receiver)
+    except ValueError as exc:  # the fresh symbol's urns read the file's initial weight
+        raise ConfigError(f"{policy_path}: malformed policy file ({exc})") from exc
 
     expected_snapshot = compositional_conditionals(pre_snapshot, replaced_symbol, new_symbol)
     actual = info_table(post_snapshot, rows="compound", cols="acts")
@@ -434,7 +449,7 @@ def audit_command(
     ):
         actual_bits = signal_info(actual_row, prior) if q > 0 else 0.0
         expected_bits = signal_info(expected_row, prior) if q > 0 else 0.0
-        label = " & ".join(sig)
+        label = signal_label(sig)
         print(
             f"  {label:<16} actual {actual_bits:6.3f}  expected {expected_bits:6.3f}"
             f"  delta {actual_bits - expected_bits:+6.3f}",

@@ -65,14 +65,20 @@ class GameSpec:
         """The spec ``data`` describes; ``InvalidSpecError`` unless it is valid."""
         spec = cls(
             num_states=int(data["num_states"]),
-            sender_alphabets=tuple(
-                tuple(str(m) for m in a) for a in data["sender_alphabets"]
-            ),
+            sender_alphabets=_tuples(data["sender_alphabets"], 2, str, "sender_alphabets"),
             num_acts=int(data["num_acts"]),
-            state_prior=tuple(float(p) for p in data["state_prior"]),
-            utility=tuple(tuple(float(u) for u in row) for row in data["utility"]),
+            state_prior=_tuples(data["state_prior"], 1, float, "state_prior"),
+            utility=_tuples(data["utility"], 2, float, "utility"),
         )
         return _check(spec)
+
+
+def _tuples(value, depth: int, convert, name: str) -> tuple:
+    """JSON lists ``depth`` deep as tuples of ``convert``ed items; a string is not a list."""
+    if not isinstance(value, list):
+        raise InvalidSpecError(f"{name} must be a list, not {value!r}")
+    items = (_tuples(v, depth - 1, convert, f"{name}[{i}]") for i, v in enumerate(value))
+    return tuple(items) if depth > 1 else tuple(map(convert, value))
 
 
 def validate(spec: GameSpec) -> list[str]:

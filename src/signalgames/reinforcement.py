@@ -91,8 +91,8 @@ class ReinforcementTable:
         """Weights normalized to a probability vector (matching law)."""
         row = self.peek(context)
         total = fold_sum(row)
-        if total <= 0.0:
-            raise DegenerateContextError(f"all-zero weights for context {context!r}")
+        if not 0.0 < total < math.inf:
+            raise DegenerateContextError(f"weights for context {context!r} total {total!r}")
         return [w / total for w in row]
 
     def reinforce(self, context: Hashable, option: Hashable, amount: float) -> None:
@@ -104,49 +104,31 @@ class ReinforcementTable:
     def relabel(self, old_symbol: Hashable, new_symbol: Hashable) -> None:
         """Rename a symbol wherever it appears, keeping every weight.
 
-        Symbols are renamed both in option labels and inside tuple/frozenset
-        context keys.  A no-op if ``old_symbol`` is absent.
+        Symbols are renamed in option labels and inside context keys.  A no-op
+        if ``old_symbol`` is absent; ``SymbolCollisionError`` if ``new_symbol``
+        is in use, ``old_symbol`` included.
         """
-        if new_symbol == old_symbol or not self.uses(old_symbol):
+        if not self.uses(old_symbol):
             return
         if self.uses(new_symbol):
             raise SymbolCollisionError(f"symbol {new_symbol!r} already in use")
-        self.options = [new_symbol if o == old_symbol else o for o in self.options]
+        names = {old_symbol: new_symbol}
+        self.options = [_map_key(o, names) for o in self.options]
         self.position = {option: i for i, option in enumerate(self.options)}
-        swap = self._swap_key
-        swapped = [(swap(k, old_symbol, new_symbol), v) for k, v in self.entries.items()]
+        renamed = [(_map_key(k, names), v) for k, v in self.entries.items()]
         self.entries.clear()
-        self.entries.update(swapped)
+        self.entries.update(renamed)
 
     def uses(self, symbol: Hashable) -> bool:
         """Whether ``symbol`` is an option or part of a stored context key."""
-        return symbol in self.options or any(
-            self._key_contains(k, symbol) for k in self.entries
-        )
-
-    @staticmethod
-    def _key_contains(key: Hashable, symbol: Hashable) -> bool:
-        if isinstance(key, (tuple, frozenset)):
-            return symbol in key
-        return key == symbol
-
-    @staticmethod
-    def _swap_key(key: Hashable, old: Hashable, new: Hashable) -> Hashable:
-        if isinstance(key, tuple):
-            return tuple(new if x == old else x for x in key)
-        if isinstance(key, frozenset):
-            return frozenset(new if x == old else x for x in key)
-        return new if key == old else key
-
-    # -- serialization --------------------------------------------------
+        return symbol in self.options or any(symbol in _key_parts(k) for k in self.entries)
 
     def to_json_dict(self) -> dict:
+        rows = [{"context": _key_to_json(k), "weights": list(v)} for k, v in self.entries.items()]
         return {
-            "options": [_key_to_json(o) for o in self.options],
+            "options": list(self.options),
             "initial_weight": self.initial_weight,
-            "entries": [
-                {"context": k, "weights": list(v)} for k, v in items_to_json(self.entries)
-            ],
+            "entries": sorted(rows, key=lambda row: repr(row["context"])),
         }
 
     @classmethod
@@ -154,13 +136,12 @@ class ReinforcementTable:
         """The table ``to_json_dict`` wrote; ``ValueError`` unless its options
         are distinct and each row holds one finite, non-negative weight per
         option."""
-        options = [_key_from_json(o) for o in data["options"]]
-        if len(set(options)) != len(options):
+        table = cls(data["options"], data["initial_weight"])
+        if len(table.position) != len(table.options):
             raise ValueError(f"options {data['options']} are not distinct")
-        table = cls(options, data["initial_weight"])
         for entry in data["entries"]:
             row = [float(w) for w in entry["weights"]]
-            if len(row) != len(options) or not all(0.0 <= w < math.inf for w in row):
+            if len(row) != len(table.options) or not all(0.0 <= w < math.inf for w in row):
                 raise ValueError(
                     f"context {entry['context']} needs one finite, non-negative weight "
                     f"per option, not {entry['weights']}"
@@ -189,27 +170,31 @@ def sample_weights(weights: Sequence[float], rng: np.random.Generator) -> int:
     return i - 1
 
 
-def items_to_json(mapping: dict) -> list[list]:
-    """``[key, value]`` pairs with JSON-encoded keys, sorted by encoded key.
+def _key_parts(key: Hashable) -> tuple:
+    """The symbols of a context key.  A key is a state or a symbol, a tuple of
+    symbols (one per slot) or a frozenset of symbols; no key holds a key."""
+    return tuple(key) if isinstance(key, (tuple, frozenset)) else (key,)
 
-    Sets encode as sorted lists, so the order does not depend on string
-    hashing and a dump is the same in every process.
-    """
-    return sorted(([_key_to_json(k), v] for k, v in mapping.items()), key=lambda kv: repr(kv[0]))
+
+def _map_key(key: Hashable, names: dict) -> Hashable:
+    """``key``, of the same type, with each symbol in ``names`` renamed."""
+    if isinstance(key, (tuple, frozenset)):
+        return type(key)(names.get(m, m) for m in key)
+    return names.get(key, key)
 
 
 def _key_to_json(key: Hashable):
+    # sets as sorted lists: a dump does not depend on string hashing
     if isinstance(key, tuple):
-        return {"tuple": [_key_to_json(x) for x in key]}
+        return {"tuple": list(key)}
     if isinstance(key, frozenset):
-        return {"set": sorted(_key_to_json(x) for x in key)}
+        return {"set": sorted(key)}
     return key
 
 
 def _key_from_json(data):
-    if isinstance(data, dict):
-        if "tuple" in data:
-            return tuple(_key_from_json(x) for x in data["tuple"])
-        if "set" in data:
-            return frozenset(_key_from_json(x) for x in data["set"])
+    if isinstance(data, dict) and "tuple" in data:
+        return tuple(data["tuple"])
+    if isinstance(data, dict) and "set" in data:
+        return frozenset(data["set"])
     return data

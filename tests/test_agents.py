@@ -89,6 +89,8 @@ def test_sender_replace_message_exact():
         sender.replace_message("mB0", "mBx")
     with pytest.raises(SymbolCollisionError):
         sender.replace_message("mB?", "mB1")
+    with pytest.raises(SymbolCollisionError):
+        sender.replace_message("mB1", "mB1")
 
 
 def test_sender_json_round_trip():
@@ -299,6 +301,24 @@ def test_make_receiver_kinds():
 def test_constructors_reject_bad_settings(kind, settings, message):
     with pytest.raises(ValueError, match=message):
         make_receiver(GAME, kind, **settings)
+
+
+@pytest.mark.parametrize(
+    "agent, slot",
+    [
+        (Sender(GAME, 0), "mA0"),
+        (ConventionalReceiver(GAME), 0),
+        (MinimalistReceiver(GAME, temperature=50.0), 0),
+        (GeneralistReceiver(GAME, "preserving"), 0),
+    ],
+    ids=["sender", "conventional", "minimalist", "generalist"],
+)
+def test_reinforce_rejects_negative_reward(agent, slot):
+    context = 0 if isinstance(agent, Sender) else ("mA0", "mB0")
+    before = agent.to_json_dict()
+    with pytest.raises(ValueError, match="negative reinforcement is out of scope"):
+        agent.reinforce(context, slot, -1.0)
+    assert agent.to_json_dict() == before
 
 
 def test_choices_are_deterministic_given_seed():

@@ -27,7 +27,7 @@ from signalgames.engine import (
     step,
     take_snapshot,
 )
-from signalgames.game import make_atomic_game, make_two_sender_game
+from signalgames.game import GameSpec, InvalidSpecError, make_atomic_game, make_two_sender_game
 from signalgames.infotheory import compositional_expected_average, sender_average_info
 from signalgames.reinforcement import make_rng
 
@@ -54,6 +54,20 @@ def test_config_validation():
     with pytest.raises(ValueError):
         small_config(events=(ReplacementEvent(5000, 1, "mB0", "mB?"),)).check()
     small_config().check()
+
+
+def test_config_check_rejects_a_game_spec_built_directly():
+    # GameSpec's constructor checks nothing; from_json_dict and the game
+    # builders do, so check() is the only guard for a spec built in code
+    spec = GameSpec(
+        num_states=2,
+        sender_alphabets=(("a", "b"),),
+        num_acts=2,
+        state_prior=(0.5, 0.5),
+        utility=((1.0, 0.0),),
+    )
+    with pytest.raises(InvalidSpecError, match=r"utility has shape \(1, 2\), expected \(2, 2\)"):
+        small_config(spec=spec, events=()).check()
 
 
 def test_step_round_shape():

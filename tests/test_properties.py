@@ -11,18 +11,24 @@ turns.  For each generated run:
 * ``run`` leaves the agents a plain loop of ``step`` and ``apply_event`` on
   the same seed leaves, so its snapshots change no policy and it draws the
   same choices as a bare ``Generator`` does;
-* agents read back from their JSON give array-equal snapshots.
+* the policy file ``--dump-policy`` writes loads back through
+  ``load_policy`` to the same game, equal agents and array-equal snapshots.
+
+And the audit reads any policy file with one field changed to a value of
+another JSON type or shape without a traceback: it exits 0, 2 or 3.
 """
 
+import contextlib
+import io
 import json
 import math
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from signalgames import engine
-from signalgames.agents import Sender, receiver_from_json_dict
-from signalgames.game import GameSpec
+from signalgames import cli, engine
+from signalgames.game import GameSpec, make_two_sender_game
 from signalgames.oracle import enumerate_outcomes, oracle_metrics
 from signalgames.reinforcement import make_rng
 
@@ -91,9 +97,14 @@ def policy(senders, receiver) -> list[dict]:
     return [sender.to_json_dict() for sender in senders] + [receiver.to_json_dict()]
 
 
+@pytest.fixture(scope="module")
+def policy_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("policy") / "policy.json"
+
+
 @settings(max_examples=60)
 @given(config=configs())
-def test_run_invariants(config):
+def test_run_invariants(policy_file, config):
     spec = config.spec
     trajectory = engine.run(config)
     senders, receiver = trajectory.senders, trajectory.receiver
@@ -122,15 +133,74 @@ def test_run_invariants(config):
             engine.apply_event(events[turn], plain_senders, plain_receiver)
     assert policy(plain_senders, plain_receiver) == policy(senders, receiver)
 
-    *sender_data, receiver_data = json.loads(json.dumps(policy(senders, receiver)))
-    loaded = engine.take_snapshot(
-        spec,
-        [Sender.from_json_dict(spec, data) for data in sender_data],
-        receiver_from_json_dict(spec, receiver_data),
-    )
+    policy_file.write_text(cli._policy_json(trajectory))
+    loaded_spec, loaded, loaded_senders, loaded_receiver = cli.load_policy(policy_file)
+    assert loaded_spec == spec
+    assert policy(loaded_senders, loaded_receiver) == policy(senders, receiver)
     original = engine.take_snapshot(spec, senders, receiver)
     assert loaded.sender_alphabets == original.sender_alphabets
     np.testing.assert_array_equal(loaded.state_prior, original.state_prior)
     for actual, expected in zip(loaded.sender_conditionals, original.sender_conditionals):
         np.testing.assert_array_equal(actual, expected)
     np.testing.assert_array_equal(loaded.receiver_conditionals, original.receiver_conditionals)
+
+
+def small_dump(**settings) -> dict:
+    spec = make_two_sender_game()
+    config = engine.TrajectoryConfig(spec=spec, total_turns=300, snapshot_every=300, **settings)
+    return json.loads(cli._policy_json(engine.run(config)))
+
+
+DUMPS = {
+    "conventional": small_dump(),
+    # a retired symbol, mB0, and the urns its replacement's extension stored
+    "preserving": small_dump(
+        receiver_kind="generalist",
+        introduction_mode="preserving",
+        events=(engine.ReplacementEvent(150, 1, "mB0", "mB?"),),
+    ),
+}
+
+
+def paths(node, prefix=()):
+    """The path of every value inside ``node``, containers included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from paths(value, prefix + (key,))
+
+
+FIELDS = [(name, path) for name, dump in DUMPS.items() for path in paths(dump)]
+VALUES = [
+    None,
+    True,
+    *(0, 1, -1, 7, 2**70),
+    *(0.5, 1.5, -0.5, 1e308, math.inf, math.nan),
+    *("", "mA0", "mB?", "zz"),
+    *([], ["mA0"], [1, 2]),
+    *({}, {"tuple": ["mA0"]}, {"set": ["mA0", "zz"]}, {"tuple": [{"tuple": ["mA0"]}]}),
+]
+
+
+@settings(max_examples=600)
+@given(field=st.sampled_from(FIELDS), value=st.sampled_from(VALUES))
+# a sender symbol that is not a string, and a generalist key that is not a
+# set, used to fail as a TypeError
+@example(field=("conventional", ("senders", 0, "table", "options", 1)), value=7)
+@example(field=("preserving", ("receiver", "table", "entries", 0, "context")), value="mA0")
+# the fresh symbol's urns sum to zero or overflow; a game size int() cannot take
+@example(field=("conventional", ("receiver", "table", "initial_weight")), value=0)
+@example(field=("conventional", ("receiver", "table", "initial_weight")), value=1e308)
+@example(field=("conventional", ("game", "num_states")), value=math.inf)
+def test_audit_of_a_changed_field_exits_without_a_traceback(policy_file, field, value):
+    name, path = field
+    document = json.loads(json.dumps(DUMPS[name]))
+    node = document
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    policy_file.write_text(json.dumps(document))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(["--audit", str(policy_file), "--replace", "mA0"])
+    assert code in (cli.EXIT_OK, cli.EXIT_CONFIG_ERROR, cli.EXIT_NON_COMPOSITIONAL)

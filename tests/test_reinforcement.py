@@ -91,6 +91,8 @@ def test_relabel_collision_and_noop():
     table = ReinforcementTable(["a", "b"])
     with pytest.raises(SymbolCollisionError):
         table.relabel("a", "b")
+    with pytest.raises(SymbolCollisionError):
+        table.relabel("a", "a")  # the one rule Sender.replace_message relies on
     before = table.to_json_dict()
     table.relabel("zzz", "qqq")  # absent symbol: no-op
     assert table.to_json_dict() == before

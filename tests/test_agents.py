@@ -304,20 +304,19 @@ def test_constructors_reject_bad_settings(kind, settings, message):
 
 
 @pytest.mark.parametrize(
-    "agent, slot",
+    "agent, context, choice",
     [
-        (Sender(GAME, 0), "mA0"),
-        (ConventionalReceiver(GAME), 0),
-        (MinimalistReceiver(GAME, temperature=50.0), 0),
-        (GeneralistReceiver(GAME, "preserving"), 0),
+        (Sender(GAME, 0), 0, "mA0"),
+        (ConventionalReceiver(GAME), ("mA0", "mB0"), 0),
+        (MinimalistReceiver(GAME, temperature=50.0), ("mA0", "mB0"), 0),
+        (GeneralistReceiver(GAME, "preserving"), ("mA0", "mB0"), 0),
     ],
     ids=["sender", "conventional", "minimalist", "generalist"],
 )
-def test_reinforce_rejects_negative_reward(agent, slot):
-    context = 0 if isinstance(agent, Sender) else ("mA0", "mB0")
+def test_reinforce_rejects_negative_reward(agent, context, choice):
     before = agent.to_json_dict()
     with pytest.raises(ValueError, match="negative reinforcement is out of scope"):
-        agent.reinforce(context, slot, -1.0)
+        agent.reinforce(context, choice, -1.0)
     assert agent.to_json_dict() == before
 
 

@@ -399,7 +399,7 @@ def test_run_missing_config_file(tmp_path):
 # -- policy dump and audit --------------------------------------------------
 
 
-def dump_tiny_policy(tmp_path, total_turns=20_000, **overrides):
+def dump_tiny_policy(tmp_path, total_turns=20_000):
     # a well-trained conventional policy, no replacement yet
     path = write_config(
         tmp_path,
@@ -409,7 +409,6 @@ def dump_tiny_policy(tmp_path, total_turns=20_000, **overrides):
                 snapshot_every=max(total_turns, 1),
                 events=[],
                 num_runs=1,
-                **overrides,
             )
         ],
     )
@@ -593,93 +592,6 @@ def test_audit_rejects_malformed_policy(tmp_path, capsys, corrupt):
     capsys.readouterr()
     assert main(["--audit", str(path), "--replace", "mA0"]) == EXIT_CONFIG_ERROR
     assert f"{path}: malformed policy file" in capsys.readouterr().err
-
-
-def audit_edited_dump(tmp_path, capsys, edit, **receiver):
-    """Exit code and stderr of auditing ``mA0`` in a 3,000-turn dump edited by ``edit``."""
-    path = dump_tiny_policy(tmp_path, total_turns=3_000, **receiver)
-    policy = json.loads(path.read_text())
-    edit(policy)
-    path.write_text(json.dumps(policy))
-    capsys.readouterr()
-    code = main(["--audit", str(path), "--replace", "mA0"])
-    return code, capsys.readouterr().err
-
-
-@pytest.mark.parametrize(
-    "sender, symbol", [(0, 7), (0, None), (0, 1.5), (0, True), (1, 7)], ids=str
-)
-def test_audit_rejects_sender_symbol_that_is_not_a_string(tmp_path, capsys, sender, symbol):
-    # these used to fail as a TypeError in the audit's row labels, exit 1
-    def edit(policy):
-        policy["senders"][sender]["table"]["options"][1] = symbol
-
-    code, err = audit_edited_dump(tmp_path, capsys, edit)
-    assert code == EXIT_CONFIG_ERROR
-    where = f"senders[{sender}].table.options"
-    assert f"malformed policy file ({where}: {json.dumps(symbol)} is not a string)" in err
-
-
-PRESERVING = dict(receiver="generalist", introduction_mode="preserving")
-
-
-@pytest.mark.parametrize(
-    "receiver, context",
-    [
-        # a generalist key is a set of symbols; these used to fail as a
-        # TypeError in the preserving introduction, exit 1
-        (PRESERVING, "mA0"),
-        (PRESERVING, 7),
-        (PRESERVING, None),
-        (PRESERVING, True),
-        (PRESERVING, {"tuple": ["mA0"]}),
-        # a symbol no sender has held; this used to audit with exit 0
-        (PRESERVING, {"set": ["mA0", "zz"]}),
-        # a conventional key is a full signal and a minimalist key a symbol;
-        # these used to load, their urns unread
-        ({}, {"tuple": ["mA0"]}),
-        ({}, {"tuple": ["mA0", 7]}),
-        ({}, {"tuple": [{"tuple": ["mA0"]}, "mB0"]}),
-        ({}, {"set": ["mA0", "mB0"]}),
-        ({"receiver": "minimalist"}, {"tuple": ["mA0", "mB0"]}),
-        ({"receiver": "minimalist"}, 7),
-    ],
-    ids=[
-        "generalist-symbol",
-        "generalist-int",
-        "generalist-null",
-        "generalist-true",
-        "generalist-tuple",
-        "generalist-unknown-symbol",
-        "conventional-one-slot",
-        "conventional-int-slot",
-        "conventional-nested",
-        "conventional-set",
-        "minimalist-tuple",
-        "minimalist-int",
-    ],
-)
-def test_audit_rejects_urn_key_unlike_its_receiver(tmp_path, capsys, receiver, context):
-    def edit(policy):
-        policy["receiver"]["table"]["entries"][0]["context"] = context
-
-    code, err = audit_edited_dump(tmp_path, capsys, edit, **receiver)
-    assert code == EXIT_CONFIG_ERROR
-    kind = receiver.get("receiver", "conventional")
-    where = "receiver.table.entries[0].context"
-    assert f"malformed policy file ({where}: {json.dumps(context)} is not a {kind} key)" in err
-
-
-@pytest.mark.parametrize("weight, total", [(0, "0.0"), (1e308, "inf")])
-def test_audit_rejects_initial_weight_that_a_fresh_urn_cannot_read(tmp_path, capsys, weight, total):
-    # a fresh symbol's urns hold the initial weight; these used to fail after
-    # the replacement, as a DegenerateContextError and a ValueError, exit 1
-    def edit(policy):
-        policy["receiver"]["table"]["initial_weight"] = weight
-
-    code, err = audit_edited_dump(tmp_path, capsys, edit)
-    assert code == EXIT_CONFIG_ERROR
-    assert f"malformed policy file (weights for context ('mA0?', 'mB0') total {total})" in err
 
 
 def test_audit_reads_symbol_sender_pairs(tmp_path, capsys):
@@ -915,3 +827,79 @@ def test_audit_rejects_minimalist_policy_with_normalized_scores(tmp_path, capsys
     )
     assert code == EXIT_CONFIG_ERROR
     assert "malformed policy file (receiver.normalized: " in err
+
+
+# -- the policy's symbols and urn keys have the shapes the agents read ------
+
+
+@pytest.mark.parametrize(
+    "sender, symbol", [(0, 7), (0, None), (0, 1.5), (0, True), (1, 7)], ids=str
+)
+def test_audit_rejects_sender_symbol_that_is_not_a_string(tmp_path, capsys, sender, symbol):
+    # these used to fail as a TypeError in the audit's row labels, exit 1
+    def rewrite(policy):
+        policy["senders"][sender]["table"]["options"][1] = symbol
+
+    code, err = audit_rewritten_policy(tmp_path, capsys, rewrite)
+    assert code == EXIT_CONFIG_ERROR
+    where = f"senders[{sender}].table.options"
+    assert f"malformed policy file ({where}: {json.dumps(symbol)} is not a string)" in err
+
+
+@pytest.mark.parametrize(
+    "figure, context",
+    [
+        # a generalist key is a set of symbols; these used to fail as a
+        # TypeError in the preserving introduction, exit 1
+        ("fig5_generalist_preserving", "mA0"),
+        ("fig5_generalist_preserving", 7),
+        ("fig5_generalist_preserving", None),
+        ("fig5_generalist_preserving", True),
+        ("fig5_generalist_preserving", {"tuple": ["mA0"]}),
+        # a symbol no sender has held; this used to audit with exit 0
+        ("fig5_generalist_preserving", {"set": ["mA0", "zz"]}),
+        # a conventional key is a full signal and a minimalist key a symbol;
+        # these used to load, their urns unread
+        ("fig2_conventional", {"tuple": ["mA0"]}),
+        ("fig2_conventional", {"tuple": ["mA0", 7]}),
+        ("fig2_conventional", {"tuple": [{"tuple": ["mA0"]}, "mB0"]}),
+        ("fig2_conventional", {"set": ["mA0", "mB0"]}),
+        ("fig3_minimalist", {"tuple": ["mA0", "mB0"]}),
+        ("fig3_minimalist", 7),
+    ],
+    ids=[
+        "generalist-symbol",
+        "generalist-int",
+        "generalist-null",
+        "generalist-true",
+        "generalist-tuple",
+        "generalist-unknown-symbol",
+        "conventional-one-slot",
+        "conventional-int-slot",
+        "conventional-nested",
+        "conventional-set",
+        "minimalist-tuple",
+        "minimalist-int",
+    ],
+)
+def test_audit_rejects_urn_key_unlike_its_receiver(tmp_path, capsys, figure, context):
+    def rewrite(policy):
+        policy["receiver"]["table"]["entries"][0]["context"] = context
+
+    code, err = audit_rewritten_policy(tmp_path, capsys, rewrite, figure)
+    assert code == EXIT_CONFIG_ERROR
+    kind = figure.split("_")[1]
+    where = "receiver.table.entries[0].context"
+    assert f"malformed policy file ({where}: {json.dumps(context)} is not a {kind} key)" in err
+
+
+@pytest.mark.parametrize("weight, total", [(0, "0.0"), (1e308, "inf")])
+def test_audit_rejects_initial_weight_that_a_fresh_urn_cannot_read(tmp_path, capsys, weight, total):
+    # a fresh symbol's urns hold the initial weight; these used to fail after
+    # the replacement, as a DegenerateContextError and a ValueError, exit 1
+    def rewrite(policy):
+        policy["receiver"]["table"]["initial_weight"] = weight
+
+    code, err = audit_rewritten_policy(tmp_path, capsys, rewrite)
+    assert code == EXIT_CONFIG_ERROR
+    assert f"malformed policy file (weights for context ('mA0?', 'mB?') total {total})" in err

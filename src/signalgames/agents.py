@@ -25,15 +25,21 @@ from .reinforcement import (
 )
 
 
-def tempered_softmax(scores: Sequence[float], temperature: float) -> list[float]:
-    """exp(score/T) normalized, with max-subtraction for overflow safety."""
+def _softmax_weights(scores: Sequence[float], temperature: float) -> list[float]:
+    """exp(score/T) with the top score subtracted, for overflow safety: the
+    tempered softmax before normalization."""
     if temperature <= 0:
         raise ValueError("temperature must be positive")
     if not all(map(math.isfinite, scores)):
         raise ValueError("softmax scores must be finite")
     top = max(scores)
     exp = math.exp
-    exps = [exp((s - top) / temperature) for s in scores]
+    return [exp((s - top) / temperature) for s in scores]
+
+
+def tempered_softmax(scores: Sequence[float], temperature: float) -> list[float]:
+    """exp(score/T) normalized, with max-subtraction for overflow safety."""
+    exps = _softmax_weights(scores, temperature)
     total = fold_sum(exps)
     return [e / total for e in exps]
 
@@ -98,6 +104,18 @@ class Receiver:
     state: tuple[str, ...] = ()
     table: ReinforcementTable
 
+    def context(self, signal: CompoundSignal):
+        """The urn a signal's act is drawn from."""
+        return tuple(signal)
+
+    def act_weights(self, signal: CompoundSignal) -> list[float]:
+        """The act weights ``act_distribution`` normalizes by their left-fold
+        total; reading them stores nothing."""
+        return self.table.peek(self.context(signal))
+
+    def act_distribution(self, signal: CompoundSignal) -> list[float]:
+        return self.table.distribution(self.context(signal))
+
     def to_json_dict(self) -> dict:
         data = {name: getattr(self, name) for name in self.params}
         data.update((name, dict(getattr(self, name))) for name in self.state)
@@ -116,9 +134,6 @@ class ConventionalReceiver(Receiver):
 
     def __init__(self, spec: GameSpec):
         self.table = ReinforcementTable(list(range(spec.num_acts)))
-
-    def act_distribution(self, signal: CompoundSignal) -> list[float]:
-        return self.table.distribution(tuple(signal))
 
     def choose(self, signal: CompoundSignal, rng: np.random.Generator) -> int:
         return sample_weights(self.table.entries[signal], rng)
@@ -170,6 +185,9 @@ class MinimalistReceiver(Receiver):
         scores = self.naive_scores(signal)
         total = fold_sum(scores)
         return [s / total for s in scores]
+
+    def act_weights(self, signal: CompoundSignal) -> list[float]:
+        return _softmax_weights(self.naive_scores(signal), self.temperature)
 
     def act_distribution(self, signal: CompoundSignal) -> list[float]:
         return tempered_softmax(self.naive_scores(signal), self.temperature)
@@ -250,8 +268,8 @@ class GeneralistReceiver(Receiver):
         """The act urns under their former name."""
         return self.table
 
-    def act_distribution(self, signal: CompoundSignal) -> list[float]:
-        return self.table.distribution(self._contexts[signal][0])
+    def context(self, signal: CompoundSignal) -> frozenset:
+        return self._contexts[signal][0]
 
     def choose(self, signal: CompoundSignal, rng: np.random.Generator) -> int:
         return sample_weights(self.table.entries[self._contexts[signal][0]], rng)

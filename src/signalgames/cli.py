@@ -319,7 +319,8 @@ def run_experiment(
 
 def _check_senders(spec: GameSpec, senders: list[dict]) -> None:
     """``ValueError`` naming ``senders[i]`` unless it is game sender i, at its
-    alphabet size, and holds no other sender's symbol."""
+    alphabet size, holds no other sender's symbol and keys its urns by the
+    game's states."""
     found = dict(enumerate((s["sender_index"], len(s["table"]["options"])) for s in senders))
     expected = dict(enumerate((i, len(a)) for i, a in enumerate(spec.sender_alphabets)))
     for i in sorted(found.keys() | expected.keys()):
@@ -333,6 +334,11 @@ def _check_senders(spec: GameSpec, senders: list[dict]) -> None:
                 raise ValueError(f"senders[{i}].table.options: {json.dumps(m)} is not a string")
             if owner.setdefault(m, i) != i:
                 raise ValueError(f"senders[{i}].table.options: {m!r} is also sender {owner[m]}'s")
+        for j, entry in enumerate(sender["table"]["entries"]):
+            state = entry["context"]
+            if type(state) is not int or not 0 <= state < spec.num_states:
+                where = f"senders[{i}].table.entries[{j}].context"
+                raise ValueError(f"{where}: {json.dumps(state)} is not a state of the game")
 
 
 def _check_receiver(spec: GameSpec, senders: list[Sender], receiver: dict) -> None:

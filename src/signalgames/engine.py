@@ -9,6 +9,7 @@ run independent trajectories on consecutive seeds and aggregate by turn.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -19,11 +20,14 @@ from .agents import Receiver, Sender, make_receiver
 from .game import GameSpec, InvalidSpecError, validate
 from .infotheory import (
     PolicySnapshot,
-    ordered_sum,
+    fold,
     receiver_average_info,
     sender_average_info,
+    stacked_joint,
+    stacked_receiver_info,
+    stacked_sender_info,
 )
-from .reinforcement import BlockUniforms, make_rng, sample_weights
+from .reinforcement import BlockUniforms, DegenerateContextError, make_rng, sample_weights
 
 
 @dataclass(frozen=True)
@@ -165,6 +169,64 @@ def apply_event(
     receiver.on_replacement(event.old_symbol, event.new_symbol)
 
 
+def _capture(senders: Sequence[Sender], receiver: Receiver, values: list) -> tuple:
+    """Append the agents' urn rows, as ``peek`` reads them, and the receiver's
+    act weights for every live signal to ``values``; return the live
+    alphabets.  Stores nothing in any table."""
+    alphabets = tuple(tuple(sender.alphabet) for sender in senders)
+    for sender in senders:
+        peek = sender.table.peek
+        for state in range(sender.num_states):
+            values += peek(state)
+    act_weights = receiver.act_weights
+    for signal in itertools.product(*alphabets):
+        values += act_weights(signal)
+    return alphabets
+
+
+def _normalize(weights: np.ndarray, context, labels: Sequence[str]) -> np.ndarray:
+    """Each row of ``weights`` (N, rows, options) over its left-fold total.
+
+    ``DegenerateContextError`` for the first snapshot holding a row whose
+    total is not finite and positive, its label leading the message;
+    ``context(n, row)`` names the row's urn.
+    """
+    with np.errstate(over="ignore"):  # an overflowing total is reported below
+        totals = np.cumsum(weights, axis=-1)[..., -1:]
+    bad = ~((0.0 < totals) & (totals < math.inf))
+    if bad.any():
+        n, row, _ = np.argwhere(bad)[0]
+        total = float(totals[n, row, 0])
+        raise DegenerateContextError(
+            f"{labels[n]}weights for context {context(n, row)!r} total {total!r}"
+        )
+    return weights / totals
+
+
+def _policies(
+    spec: GameSpec, receiver: Receiver, alphabets: Sequence[tuple], values: list, labels
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """The sender conditionals, one (N, S, |M_i|) array per sender, and the
+    receiver conditionals, (N, |M_1|, ..., |M_k|, A), of N stops' ``values``
+    as ``_capture`` appended them; ``alphabets[n]`` is stop n's."""
+    sizes = tuple(map(len, alphabets[0]))
+    weights = np.array(values).reshape(len(alphabets), -1)
+    conditionals = []
+    start = 0
+    for size in sizes:
+        block = weights[:, start:start + spec.num_states * size]
+        block = block.reshape(len(weights), spec.num_states, size)
+        conditionals.append(_normalize(block, lambda n, state: state, labels))
+        start += block[0].size
+
+    def signal_context(n, row):
+        return receiver.context(list(itertools.product(*alphabets[n]))[row])
+
+    rows = weights[:, start:].reshape(len(weights), -1, spec.num_acts)
+    rho = _normalize(rows, signal_context, labels)
+    return conditionals, rho.reshape((len(weights),) + sizes + (spec.num_acts,))
+
+
 def take_snapshot(
     spec: GameSpec, senders: Sequence[Sender], receiver: Receiver
 ) -> PolicySnapshot:
@@ -173,23 +235,25 @@ def take_snapshot(
     Reading a policy never changes it: agents report unseen urns at their
     initial weights without storing them.
     """
-    alphabets = tuple(tuple(sender.alphabet) for sender in senders)
-    rows = [receiver.act_distribution(sig) for sig in itertools.product(*alphabets)]
-    return PolicySnapshot(
-        state_prior=spec.prior_array(),
-        sender_alphabets=alphabets,
-        sender_conditionals=[sender.conditional_matrix() for sender in senders],
-        receiver_conditionals=np.reshape(rows, tuple(map(len, alphabets)) + (-1,)),
-    )
+    values = []
+    alphabets = _capture(senders, receiver, values)
+    conditionals, rho = _policies(spec, receiver, [alphabets], values, ("",))
+    return PolicySnapshot(spec.prior_array(), alphabets, [c[0] for c in conditionals], rho[0])
+
+
+def _expected_payoffs(utility: np.ndarray, joint: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Exact expected payoff per snapshot of the stacked joint and receiver
+    conditionals."""
+    # E[utility | state, signal], laid out like the joint: one product per
+    # snapshot, since a batched one may group the dot products otherwise
+    payoff = np.stack([utility @ r.reshape(-1, r.shape[-1]).T for r in rho])
+    return fold(np.where(joint > 0, joint * payoff.reshape(joint.shape), 0.0))
 
 
 def snapshot_expected_payoff(spec: GameSpec, snapshot: PolicySnapshot) -> float:
     """Exact expected payoff of the snapshotted policies."""
-    joint = snapshot.joint()
-    rho = snapshot.receiver_conditionals
-    # E[utility | state, signal], laid out like the joint
-    payoff = (spec.utility_array() @ rho.reshape(-1, rho.shape[-1]).T).reshape(joint.shape)
-    return ordered_sum(np.where(joint > 0, joint * payoff, 0.0))
+    joint, rho = snapshot.joint()[None], snapshot.receiver_conditionals[None]
+    return float(_expected_payoffs(spec.utility_array(), joint, rho)[0])
 
 
 def make_report(spec: GameSpec, snapshot: PolicySnapshot, turn: int, phase: str) -> InfoReport:
@@ -202,33 +266,70 @@ def make_report(spec: GameSpec, snapshot: PolicySnapshot, turn: int, phase: str)
     )
 
 
-def _report(trajectory: Trajectory, turn: int, phase: str) -> PolicySnapshot:
-    """Snapshot the trajectory's agents, append the snapshot's report and return it."""
-    snapshot = take_snapshot(trajectory.config.spec, trajectory.senders, trajectory.receiver)
-    trajectory.reports.append(make_report(trajectory.config.spec, snapshot, turn, phase))
-    return snapshot
+def _measure(trajectory: Trajectory, stops: list, alphabets: list, values: list) -> None:
+    """Fill the trajectory's reports and event snapshots from the rows
+    ``_capture`` took at each (turn, phase) of ``stops``, in one pass."""
+    spec = trajectory.config.spec
+    labels = [f"turn {turn} {phase}: " for turn, phase in stops]
+    conditionals, rho = _policies(spec, trajectory.receiver, alphabets, values, labels)
+    prior = spec.prior_array()
+    joint = stacked_joint(prior, conditionals)
+    metrics = (
+        _expected_payoffs(spec.utility_array(), joint, rho),
+        stacked_sender_info(joint, prior, labels),
+        stacked_receiver_info(joint, rho, prior, labels),
+    )
+    trajectory.reports = [
+        InfoReport(turn, phase, *row)
+        for (turn, phase), *row in zip(stops, *(m.tolist() for m in metrics))
+    ]
+    # copies of the event stops alone, so a snapshot keeps no other stop alive
+    at = [n for n, (_, phase) in enumerate(stops) if phase != "regular"]
+    conditionals, rho, joint = [c[at] for c in conditionals], rho[at], joint[at]
+    for k, n in enumerate(at):
+        trajectory.event_snapshots[stops[n]] = PolicySnapshot(
+            prior, alphabets[n], [c[k] for c in conditionals], rho[k], joint[k]
+        )
 
 
 def run(config: TrajectoryConfig) -> Trajectory:
-    """Execute one seeded trajectory, returning its metric reports."""
+    """Execute one seeded trajectory, returning its metric reports.
+
+    The loop steps from stop to stop.  A stop is a cadence turn, or an event
+    turn, where the event fires after the turn's step and the agents are
+    read on both sides of it.  A stop only copies the agents' urn rows; one
+    pass after the last turn computes every report and event snapshot.
+    """
     config.check()
     spec = config.spec
     rng = BlockUniforms(make_rng(config.seed))
     senders, receiver = build_agents(config)
     events_by_turn = {event.turn: event for event in config.events}
+    every = config.snapshot_every
+    stops, alphabets, values = [], [], []
+
+    def capture(turn: int, phase: str) -> None:
+        stops.append((turn, phase))
+        alphabets.append(_capture(senders, receiver, values))
+
+    capture(0, "regular")
+    turn = 0
+    for stop in sorted({*range(every, config.total_turns + 1, every), *events_by_turn}):
+        for _ in range(stop - turn):
+            step(spec, senders, receiver, rng)
+        turn = stop
+        event = events_by_turn.get(stop)
+        if event is None:
+            capture(stop, "regular")
+        else:
+            capture(stop, "pre")
+            apply_event(event, senders, receiver)
+            capture(stop, "post")
+    for _ in range(config.total_turns - turn):
+        step(spec, senders, receiver, rng)
 
     trajectory = Trajectory(config=config, reports=[], senders=senders, receiver=receiver)
-    _report(trajectory, 0, "regular")
-    for turn in range(1, config.total_turns + 1):
-        step(spec, senders, receiver, rng)
-        event = events_by_turn.get(turn)
-        if event is not None:
-            # events fire after the turn's step; snapshot both sides of it
-            trajectory.event_snapshots[(turn, "pre")] = _report(trajectory, turn, "pre")
-            apply_event(event, senders, receiver)
-            trajectory.event_snapshots[(turn, "post")] = _report(trajectory, turn, "post")
-        elif turn % config.snapshot_every == 0:
-            _report(trajectory, turn, "regular")
+    _measure(trajectory, stops, alphabets, values)
     return trajectory
 
 

@@ -64,13 +64,21 @@ class GameSpec:
     def from_json_dict(cls, data: dict) -> "GameSpec":
         """The spec ``data`` describes; ``InvalidSpecError`` unless it is valid."""
         spec = cls(
-            num_states=int(data["num_states"]),
+            num_states=_size(data, "num_states"),
             sender_alphabets=_tuples(data["sender_alphabets"], 2, str, "sender_alphabets"),
-            num_acts=int(data["num_acts"]),
+            num_acts=_size(data, "num_acts"),
             state_prior=_tuples(data["state_prior"], 1, float, "state_prior"),
             utility=_tuples(data["utility"], 2, float, "utility"),
         )
         return _check(spec)
+
+
+def _size(data: dict, name: str) -> int:
+    """``data[name]``, which must be an integer; JSON's ``true`` is not one."""
+    value = data[name]
+    if type(value) is not int:
+        raise InvalidSpecError(f"{name} must be an integer, not {value!r}")
+    return value
 
 
 def _tuples(value, depth: int, convert, name: str) -> tuple:

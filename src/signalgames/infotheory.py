@@ -5,11 +5,13 @@ negative-infinity sentinel in content tables; the sentinel is set by an exact
 zero test, never by floating-point underflow.  Metrics are exact expectations
 over states, messages and acts: no empirical sampling enters here.
 
-Every metric is an array expression over two tensors of a snapshot: the
-joint ``P(state, m_1, ..., m_k)``, derived from its fields on each call, and
-the receiver conditionals ``rho(act | m_1, ..., m_k)`` it holds.  Reported
-totals are summed left to right in signal order (:func:`ordered_sum`), so
-they do not depend on how numpy groups the terms of a long sum.
+Every metric is an array expression over two tensors: the joint
+``P(state, m_1, ..., m_k)`` and the receiver conditionals
+``rho(act | m_1, ..., m_k)``.  Each is written once over a leading snapshot
+axis, so a run's N snapshots are measured in one pass and a single
+:class:`PolicySnapshot` is the case N = 1.  Reported totals are summed left to
+right in signal order (:func:`fold`), so they do not depend on how numpy
+groups the terms of a long sum.
 """
 
 from __future__ import annotations
@@ -18,13 +20,12 @@ import csv
 import io
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .game import CompoundSignal, signal_label
-from .reinforcement import fold_sum
 
 NEG_INF = float("-inf")
 
@@ -34,9 +35,11 @@ ZERO_TOL = 1e-15
 NORM_TOL = 1e-9
 
 
-def ordered_sum(terms) -> float:
-    """Left-to-right sum in C order; ``ndarray.sum`` pairs terms from 8 on."""
-    return fold_sum(np.ravel(terms).tolist())
+def fold(terms: np.ndarray) -> np.ndarray:
+    """Each snapshot's terms (all but the leading axis) summed left to right in
+    C order: ``cumsum`` adds in sequence, while ``ndarray.sum`` pairs terms
+    from 8 on."""
+    return np.cumsum(terms.reshape(len(terms), -1), axis=1)[:, -1]
 
 
 def csv_cell(value: float) -> str:
@@ -44,14 +47,24 @@ def csv_cell(value: float) -> str:
     return "-inf" if value == NEG_INF else f"{value:.12g}"
 
 
-def _check_normalized(p: np.ndarray, name: str) -> None:
-    """Raise unless every vector along the last axis is a distribution."""
-    if (p < -ZERO_TOL).any():
-        raise ValueError(f"{name} has negative entries")
+def _first(bad: np.ndarray) -> int:
+    """The first snapshot (leading index) with a ``bad`` entry, or -1."""
+    failing = bad.reshape(len(bad), -1).any(axis=1)
+    return int(failing.argmax()) if failing.any() else -1
+
+
+def _check_normalized(p: np.ndarray, name: str, labels=("",), rows=True) -> None:
+    """Raise unless every vector along the last axis of ``p`` (N, ..., n) is a
+    distribution, for the first failing snapshot, its label leading the
+    message; ``rows`` (N, ...) selects the vectors to check."""
+    n = _first((p < -ZERO_TOL).any(axis=-1) & rows)
+    if n >= 0:
+        raise ValueError(f"{labels[n]}{name} has negative entries")
     sums = p.sum(axis=-1)
-    off = np.abs(sums - 1.0) > NORM_TOL
-    if off.any():
-        raise ValueError(f"{name} sums to {float(np.extract(off, sums)[0])!r}, not 1")
+    off = (np.abs(sums - 1.0) > NORM_TOL) & rows
+    n = _first(off)
+    if n >= 0:
+        raise ValueError(f"{labels[n]}{name} sums to {float(sums[n][off[n]][0])!r}, not 1")
 
 
 def pointwise_info(p_cond: float, p_prior: float) -> float:
@@ -63,65 +76,123 @@ def pointwise_info(p_cond: float, p_prior: float) -> float:
     return math.log2(p_cond / p_prior)
 
 
-def _average_info(q: np.ndarray, cond: np.ndarray, prior: np.ndarray) -> float:
-    """Sum of q(m) * KL(cond[m] || prior) in bits over messages with q(m) > ZERO_TOL.
+def _average_info(q: np.ndarray, cond: np.ndarray, prior: np.ndarray, labels=("",)) -> np.ndarray:
+    """Per snapshot, the sum of q(m) * KL(cond[m] || prior) in bits over
+    messages with q(m) > ZERO_TOL.
 
-    ``q`` holds one probability per message, in any shape; ``cond`` has that
-    shape plus a trailing axis over the outcomes ``prior`` is defined on.
-    Only the conditionals of messages that are sent are checked.
+    ``q`` holds one probability per message, in any shape after the snapshot
+    axis; ``cond`` has that shape plus a trailing axis over the outcomes
+    ``prior`` is defined on.  Only the conditionals of messages that are sent
+    are checked.
     """
     sent = q > ZERO_TOL
-    if not sent.any():
-        return 0.0
-    _check_normalized(cond[sent], "conditional")
-    _check_normalized(prior, "prior")
+    _check_normalized(cond, "conditional", labels, sent)
+    _check_normalized(prior[None], "prior")
     if (prior <= 0).any():
         raise ValueError("prior must be strictly positive")
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(cond > ZERO_TOL, cond * np.log2(cond / prior), 0.0)
-    return ordered_sum(np.where(sent, q * terms.sum(axis=-1), 0.0))
+    return fold(np.where(sent, q * terms.sum(axis=-1), 0.0))
 
 
 def signal_info(p_cond: Sequence[float], p_prior: Sequence[float]) -> float:
     """KL divergence (bits) from prior to the post-signal conditional."""
     cond = np.asarray(p_cond, dtype=float)
-    return _average_info(np.array(1.0), cond, np.asarray(p_prior, dtype=float))
+    return float(_average_info(np.ones(1), cond[None], np.asarray(p_prior, dtype=float))[0])
 
 
 def mutual_info(joint: Sequence[Sequence[float]]) -> float:
     """Mutual information (bits) of a joint distribution matrix."""
     j = np.asarray(joint, dtype=float)
-    _check_normalized(j.ravel(), "joint")
+    _check_normalized(j.reshape(1, -1), "joint")
     independent = np.outer(j.sum(axis=1), j.sum(axis=0))  # P(s) P(m)
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(j > ZERO_TOL, j * np.log2(j / independent), 0.0)
-    return ordered_sum(terms)
+    return float(fold(terms.reshape(1, -1))[0])
 
 
-@dataclass
+def stacked_joint(prior: np.ndarray, sender_conditionals: Sequence[np.ndarray]) -> np.ndarray:
+    """P(state, m_1, ..., m_k) per snapshot, of shape (N, S, |M_1|, ..., |M_k|),
+    from the state prior and one (N, S, |M_i|) array per sender."""
+    probs = np.ones(sender_conditionals[0].shape[:2])  # P(m_1, ..., m_i | state)
+    for i, cond in enumerate(sender_conditionals):
+        probs = probs[..., None] * cond.reshape(cond.shape[:2] + (1,) * i + (-1,))
+    return prior.reshape((-1,) + (1,) * (probs.ndim - 2)) * probs
+
+
+def stacked_sender_info(joint: np.ndarray, prior: np.ndarray, labels=("",)) -> np.ndarray:
+    """Average information the compound signals carry about states (bits),
+    per snapshot of the ``stacked_joint``."""
+    joint = joint.reshape(joint.shape[:2] + (-1,))  # one column per signal
+    q = joint.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        posterior = (joint / q[:, None]).transpose(0, 2, 1)
+    return _average_info(q, posterior, prior, labels)
+
+
+def stacked_receiver_info(
+    joint: np.ndarray, rho: np.ndarray, prior: np.ndarray, labels=("",)
+) -> np.ndarray:
+    """Average information the compound signals carry about acts (bits), per
+    snapshot of the ``stacked_joint`` and the receiver conditionals ``rho``.
+
+    Acts are read against the state prior.  ``game.validate`` requires as
+    many acts as states, so information about acts has the same baseline
+    as information about states: converged tables show log2(1/P(s)) cells
+    and fresh signals show all-zero rows.  Acts tables use the same
+    baseline.
+    """
+    return _average_info(joint.sum(axis=1), rho, prior, labels)
+
+
+def _read_only(array) -> np.ndarray:
+    """A float view of ``array`` that cannot be written through."""
+    view = np.asarray(array, dtype=float).view()
+    view.flags.writeable = False
+    return view
+
+
+@dataclass(frozen=True)
 class PolicySnapshot:
     """Frozen conditional distributions of all agents at one turn.
 
     ``receiver_conditionals`` is rho(act | m_1, ..., m_k), of shape
-    (|M_1|, ..., |M_k|, A), its axes in alphabet order.  :meth:`joint`
-    derives the joint from the fields on every call, so reassigning a field
-    is safe.
+    (|M_1|, ..., |M_k|, A), its axes in alphabet order.  A snapshot is
+    read-only, also after pickling: its fields cannot be reassigned and its
+    arrays are views that cannot be written through.  So :meth:`joint` is
+    computed once, when the snapshot is built, unless the caller already
+    holds the joint of these fields and passes it as ``given_joint``.
     """
 
     state_prior: np.ndarray
     sender_alphabets: tuple[tuple[str, ...], ...]
-    sender_conditionals: list[np.ndarray]  # one |S| x |alphabet| matrix per sender
+    sender_conditionals: tuple[np.ndarray, ...]  # one |S| x |alphabet| matrix per sender
     receiver_conditionals: np.ndarray
+    given_joint: InitVar[np.ndarray] = None
+    _joint: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        self.state_prior = np.asarray(self.state_prior, dtype=float)
-        self.sender_conditionals = [
-            np.asarray(m, dtype=float) for m in self.sender_conditionals
-        ]
-        self.receiver_conditionals = np.asarray(self.receiver_conditionals, dtype=float)
+    def __post_init__(self, given_joint):
+        prior = _read_only(self.state_prior)
+        senders = tuple(map(_read_only, self.sender_conditionals))
+        rho = _read_only(self.receiver_conditionals)
         sizes = tuple(map(len, self.sender_alphabets))
-        if self.receiver_conditionals.shape[:-1] != sizes:
+        if rho.shape[:-1] != sizes:
             raise ValueError(f"receiver conditionals do not match alphabet sizes {sizes}")
+        if given_joint is None:
+            given_joint = stacked_joint(prior, [m[None] for m in senders])[0]
+        names = ("state_prior", "sender_conditionals", "receiver_conditionals", "_joint")
+        for name, value in zip(names, (prior, senders, rho, _read_only(given_joint))):
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        # rebuilt through __init__, so a batch worker's snapshots stay read-only
+        return PolicySnapshot, (
+            self.state_prior,
+            self.sender_alphabets,
+            self.sender_conditionals,
+            self.receiver_conditionals,
+            self._joint,
+        )
 
     @property
     def num_states(self) -> int:
@@ -137,10 +208,7 @@ class PolicySnapshot:
 
     def joint(self) -> np.ndarray:
         """P(state, m_1, ..., m_k), of shape (S, |M_1|, ..., |M_k|)."""
-        probs = np.ones(self.num_states)  # P(m_1, ..., m_i | state)
-        for i, cond in enumerate(self.sender_conditionals):
-            probs = probs[..., None] * cond.reshape((len(cond),) + (1,) * i + (-1,))
-        return self.state_prior.reshape((-1,) + (1,) * (probs.ndim - 1)) * probs
+        return self._joint
 
     def signal_marginal(self) -> dict[CompoundSignal, float]:
         """Q(signal) induced by the prior and current sender policies."""
@@ -155,24 +223,14 @@ class PolicySnapshot:
 
 def sender_average_info(snapshot: PolicySnapshot) -> float:
     """Average information the compound signals carry about states (bits)."""
-    joint = snapshot.joint().reshape(snapshot.num_states, -1)  # one column per signal
-    q = joint.sum(axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        posterior = (joint / q).T
-    return _average_info(q, posterior, snapshot.state_prior)
+    return float(stacked_sender_info(snapshot.joint()[None], snapshot.state_prior)[0])
 
 
 def receiver_average_info(snapshot: PolicySnapshot) -> float:
-    """Average information the compound signals carry about acts (bits).
-
-    Acts are read against the state prior.  ``game.validate`` requires as
-    many acts as states, so information about acts has the same baseline
-    as information about states: converged tables show log2(1/P(s)) cells
-    and fresh signals show all-zero rows.  Acts tables use the same
-    baseline.
-    """
-    q = snapshot.joint().sum(axis=0)
-    return _average_info(q, snapshot.receiver_conditionals, snapshot.state_prior)
+    """Average information the compound signals carry about acts (bits); see
+    :func:`stacked_receiver_info`."""
+    joint, rho = snapshot.joint()[None], snapshot.receiver_conditionals[None]
+    return float(stacked_receiver_info(joint, rho, snapshot.state_prior)[0])
 
 
 def csv_text(rows) -> str:
@@ -274,6 +332,7 @@ def compositional_conditionals(
         sender_alphabets=tuple(alphabets),
         sender_conditionals=snapshot.sender_conditionals,
         receiver_conditionals=post,
+        given_joint=snapshot.joint(),  # the senders are unchanged
     )
 
 

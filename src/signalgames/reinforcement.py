@@ -134,8 +134,8 @@ class ReinforcementTable:
     @classmethod
     def from_json_dict(cls, data: dict) -> "ReinforcementTable":
         """The table ``to_json_dict`` wrote; ``ValueError`` unless its options
-        are distinct and each row holds one finite, non-negative weight per
-        option."""
+        are distinct, no context appears twice and each row holds one finite,
+        non-negative weight per option."""
         table = cls(data["options"], data["initial_weight"])
         if len(table.position) != len(table.options):
             raise ValueError(f"options {data['options']} are not distinct")
@@ -146,7 +146,10 @@ class ReinforcementTable:
                     f"context {entry['context']} needs one finite, non-negative weight "
                     f"per option, not {entry['weights']}"
                 )
-            table.entries[_key_from_json(entry["context"])] = row
+            key = _key_from_json(entry["context"])
+            if key in table.entries:
+                raise ValueError(f"context {entry['context']} appears twice")
+            table.entries[key] = row
         return table
 
 

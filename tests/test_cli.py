@@ -265,6 +265,10 @@ def test_parse_rejects_unreadable_file(tmp_path):
         {"sender_alphabets": "ab"},
         # int() of JSON's Infinity used to fail as an OverflowError, exit 1
         {"num_states": float("inf")},
+        # int() used to read these as 2, and the game ran with exit 0
+        {"num_states": 2.7},
+        {"num_acts": "2"},
+        {"num_states": True, "num_acts": True},
     ],
     ids=[
         "prior-nan",
@@ -279,6 +283,9 @@ def test_parse_rejects_unreadable_file(tmp_path):
         "alphabet-string",
         "alphabets-string",
         "states-infinite",
+        "states-fraction",
+        "acts-string",
+        "sizes-true",
     ],
 )
 def test_run_rejects_game_that_cannot_run(tmp_path, capsys, game):
@@ -295,6 +302,42 @@ def test_run_rejects_game_that_cannot_run(tmp_path, capsys, game):
     assert main(["--config", str(path), "--out", str(out)]) == EXIT_CONFIG_ERROR
     assert "experiments[0].game: " in capsys.readouterr().err
     assert not out.exists()  # rejected before the first turn
+
+
+@pytest.mark.parametrize(
+    "sizes, where",
+    [
+        ({"num_states": 2.7}, "num_states must be an integer, not 2.7"),
+        ({"num_acts": "2"}, "num_acts must be an integer, not '2'"),
+        # read as 1 state and 1 act, this used to blame the prior's length
+        ({"num_states": True, "num_acts": True}, "num_states must be an integer, not True"),
+    ],
+    ids=["states-fraction", "acts-string", "sizes-true"],
+)
+def test_game_sizes_must_be_integers(tmp_path, capsys, sizes, where):
+    spec = {
+        "num_states": 2,
+        "sender_alphabets": [["m0", "m1"]],
+        "num_acts": 2,
+        "state_prior": [0.5, 0.5],
+        "utility": [[1, 0], [0, 1]],
+    }
+    experiment = tiny_experiment(game=dict(spec, **sizes), events=[])
+    path = write_config(tmp_path, [experiment])
+    assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG_ERROR
+    assert f"experiments[0].game: bad game spec ({where})" in capsys.readouterr().err
+
+
+def test_audit_rejects_game_size_that_is_not_an_integer(tmp_path, capsys):
+    # int() used to read 4.0 as 4, and the audit ran
+    path = dump_tiny_policy(tmp_path, total_turns=500)
+    policy = json.loads(path.read_text())
+    policy["game"]["num_states"] = 4.0
+    path.write_text(json.dumps(policy))
+    capsys.readouterr()
+    assert main(["--audit", str(path), "--replace", "mA0"]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert "malformed policy file (num_states must be an integer, not 4.0)" in err
 
 
 # -- run command ------------------------------------------------------------
@@ -891,6 +934,38 @@ def test_audit_rejects_urn_key_unlike_its_receiver(tmp_path, capsys, figure, con
     kind = figure.split("_")[1]
     where = "receiver.table.entries[0].context"
     assert f"malformed policy file ({where}: {json.dumps(context)} is not a {kind} key)" in err
+
+
+@pytest.mark.parametrize("context", ["zz", 4, -1, True, {"tuple": [0]}], ids=str)
+def test_audit_rejects_sender_urn_key_that_is_not_a_state(tmp_path, capsys, context):
+    # with "zz", the sender-0 urn of state 0 (weights [1.0, 320.0]) used to go
+    # unread, state 0 read uniform, and the audit flagged the misread policy
+    path = dump_tiny_policy(tmp_path, total_turns=3_000)
+    policy = json.loads(path.read_text())
+    entry = policy["senders"][0]["table"]["entries"][0]
+    assert (entry["context"], entry["weights"]) == (0, [1.0, 320.0])
+    entry["context"] = context
+    path.write_text(json.dumps(policy))
+    capsys.readouterr()
+    assert main(["--audit", str(path), "--replace", "mA0"]) == EXIT_CONFIG_ERROR
+    where = "senders[0].table.entries[0].context"
+    message = f"malformed policy file ({where}: {json.dumps(context)} is not a state of the game)"
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("agent", ["sender", "receiver"])
+def test_audit_rejects_urn_context_given_twice(tmp_path, capsys, agent):
+    # the last copy used to replace the first, and the audit read it
+    path = dump_tiny_policy(tmp_path, total_turns=3_000)
+    policy = json.loads(path.read_text())
+    table = (policy["senders"][0] if agent == "sender" else policy["receiver"])["table"]
+    first = table["entries"][0]
+    table["entries"].append(dict(first, weights=[w + 5.0 for w in first["weights"]]))
+    path.write_text(json.dumps(policy))
+    capsys.readouterr()
+    assert main(["--audit", str(path), "--replace", "mA0"]) == EXIT_CONFIG_ERROR
+    message = f"malformed policy file (context {first['context']} appears twice)"
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("weight, total", [(0, "0.0"), (1e308, "inf")])

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from signalgames import engine
+from signalgames.agents import ConventionalReceiver
 from signalgames.engine import (
     EventError,
     ReplacementEvent,
@@ -29,7 +30,7 @@ from signalgames.engine import (
 )
 from signalgames.game import GameSpec, InvalidSpecError, make_atomic_game, make_two_sender_game
 from signalgames.infotheory import compositional_expected_average, sender_average_info
-from signalgames.reinforcement import make_rng
+from signalgames.reinforcement import DegenerateContextError, make_rng
 
 GAME = make_two_sender_game()
 
@@ -96,6 +97,21 @@ def test_snapshot_cadence_and_phases():
     assert (1000, "regular") not in turns
     assert turns[-1] == (2000, "regular")
     assert set(trajectory.event_snapshots) == {(1000, "pre"), (1000, "post")}
+
+
+def test_run_names_the_turn_of_the_first_row_it_cannot_normalize(monkeypatch):
+    # reports are computed after the last turn, so a failing check there
+    # names the first stop it fails at
+    act_weights = ConventionalReceiver.act_weights
+
+    def zero_after_event(self, signal):
+        return [0.0] * 4 if "mB?" in signal else act_weights(self, signal)
+
+    monkeypatch.setattr(ConventionalReceiver, "act_weights", zero_after_event)
+    event = ReplacementEvent(1000, 1, "mB0", "mB?")
+    message = r"^turn 1000 post: weights for context \('mA0', 'mB\?'\) total 0\.0$"
+    with pytest.raises(DegenerateContextError, match=message):
+        run(small_config(events=(event,)))
 
 
 def test_replacement_preserves_sender_info_exactly():

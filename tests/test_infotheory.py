@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -117,6 +119,19 @@ def test_snapshot_checks_receiver_shape():
     for bad in (rho[0], rho.reshape(4, 4), np.full((2, 3, 4), 0.25)):
         with pytest.raises(ValueError, match="alphabet sizes"):
             PolicySnapshot(prior, GAME.sender_alphabets, senders, bad)
+
+
+def test_snapshot_is_read_only():
+    senders, receiver = converged_agents()
+    snap = take_snapshot(GAME, senders, receiver)
+    for copy in (snap, pickle.loads(pickle.dumps(snap))):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            copy.receiver_conditionals = np.zeros((2, 2, 4))
+        arrays = [copy.state_prior, *copy.sender_conditionals, copy.receiver_conditionals]
+        for array in arrays + [copy.joint()]:
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0.0
+        np.testing.assert_array_equal(copy.joint(), snap.joint())
 
 
 def test_snapshot_sender_of():

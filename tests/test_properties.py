@@ -11,6 +11,10 @@ turns.  For each generated run:
 * ``run`` leaves the agents a plain loop of ``step`` and ``apply_event`` on
   the same seed leaves, so its snapshots change no policy and it draws the
   same choices as a bare ``Generator`` does;
+* the reports ``run`` computes in one pass after its last turn equal, bit for
+  bit, those ``take_snapshot`` and ``make_report`` give at each stop of that
+  plain loop, its event snapshots are array-equal to the loop's, and each
+  payoff is the left fold of its terms;
 * the policy file ``--dump-policy`` writes loads back through
   ``load_policy`` to the same game, equal agents and array-equal snapshots.
 
@@ -30,7 +34,7 @@ from hypothesis import example, given, settings, strategies as st
 from signalgames import cli, engine
 from signalgames.game import GameSpec, make_two_sender_game
 from signalgames.oracle import enumerate_outcomes, oracle_metrics
-from signalgames.reinforcement import make_rng
+from signalgames.reinforcement import fold_sum, make_rng
 
 RECEIVERS = st.one_of(
     st.just(dict(receiver_kind="conventional")),
@@ -97,6 +101,25 @@ def policy(senders, receiver) -> list[dict]:
     return [sender.to_json_dict() for sender in senders] + [receiver.to_json_dict()]
 
 
+def report_bits(report) -> tuple:
+    return (report.turn, report.phase, *(getattr(report, m).hex() for m in engine.METRICS))
+
+
+def payoff_terms(spec, snapshot) -> list[float]:
+    joint, rho = snapshot.joint(), snapshot.receiver_conditionals
+    payoff = (spec.utility_array() @ rho.reshape(-1, rho.shape[-1]).T).reshape(joint.shape)
+    return np.where(joint > 0, joint * payoff, 0.0).ravel().tolist()
+
+
+def assert_same_snapshot(actual, expected):
+    assert actual.sender_alphabets == expected.sender_alphabets
+    np.testing.assert_array_equal(actual.state_prior, expected.state_prior)
+    for a, b in zip(actual.sender_conditionals, expected.sender_conditionals, strict=True):
+        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(actual.receiver_conditionals, expected.receiver_conditionals)
+    np.testing.assert_array_equal(actual.joint(), expected.joint())
+
+
 @pytest.fixture(scope="module")
 def policy_file(tmp_path_factory):
     return tmp_path_factory.mktemp("policy") / "policy.json"
@@ -127,22 +150,36 @@ def test_run_invariants(policy_file, config):
     plain_senders, plain_receiver = engine.build_agents(config)
     rng = make_rng(config.seed)
     events = {event.turn: event for event in config.events}
+    replayed = {}
+
+    def replay_report(turn, phase):
+        snapshot = engine.take_snapshot(spec, plain_senders, plain_receiver)
+        replayed[(turn, phase)] = engine.make_report(spec, snapshot, turn, phase), snapshot
+
+    replay_report(0, "regular")
     for turn in range(1, config.total_turns + 1):
         engine.step(spec, plain_senders, plain_receiver, rng)
         if turn in events:
+            replay_report(turn, "pre")
             engine.apply_event(events[turn], plain_senders, plain_receiver)
+            replay_report(turn, "post")
+        elif turn % config.snapshot_every == 0:
+            replay_report(turn, "regular")
     assert policy(plain_senders, plain_receiver) == policy(senders, receiver)
+    replayed_reports = [report for report, _ in replayed.values()]
+    assert list(map(report_bits, replayed_reports)) == list(map(report_bits, trajectory.reports))
+    for key, snapshot in trajectory.event_snapshots.items():
+        assert_same_snapshot(snapshot, replayed[key][1])
+    # make_report is the run's pass at N = 1, so the two above agree however
+    # the pass sums; this pins the sum to a left fold
+    for report, snapshot in replayed.values():
+        assert report.expected_payoff == fold_sum(payoff_terms(spec, snapshot))
 
     policy_file.write_text(cli._policy_json(trajectory))
     loaded_spec, loaded, loaded_senders, loaded_receiver = cli.load_policy(policy_file)
     assert loaded_spec == spec
     assert policy(loaded_senders, loaded_receiver) == policy(senders, receiver)
-    original = engine.take_snapshot(spec, senders, receiver)
-    assert loaded.sender_alphabets == original.sender_alphabets
-    np.testing.assert_array_equal(loaded.state_prior, original.state_prior)
-    for actual, expected in zip(loaded.sender_conditionals, original.sender_conditionals):
-        np.testing.assert_array_equal(actual, expected)
-    np.testing.assert_array_equal(loaded.receiver_conditionals, original.receiver_conditionals)
+    assert_same_snapshot(loaded, engine.take_snapshot(spec, senders, receiver))
 
 
 def small_dump(**settings) -> dict:
@@ -193,6 +230,8 @@ VALUES = [
 @example(field=("conventional", ("receiver", "table", "initial_weight")), value=0)
 @example(field=("conventional", ("receiver", "table", "initial_weight")), value=1e308)
 @example(field=("conventional", ("game", "num_states")), value=math.inf)
+# a sender urn key that is no state used to load, its urn unread
+@example(field=("conventional", ("senders", 0, "table", "entries", 0, "context")), value="zz")
 def test_audit_of_a_changed_field_exits_without_a_traceback(policy_file, field, value):
     name, path = field
     document = json.loads(json.dumps(DUMPS[name]))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from operator import add
 from typing import Sequence
 
 import numpy as np
@@ -57,9 +58,6 @@ class Sender:
         """The live symbols: the table's options, renamed by replacements."""
         return self.table.options
 
-    def distribution(self, state: int) -> list[float]:
-        return self.table.distribution(state)
-
     def choose(self, state: int, rng: np.random.Generator) -> str:
         return self.table.options[sample_weights(self.table.entries[state], rng)]
 
@@ -73,11 +71,6 @@ class Sender:
         if old_symbol not in self.alphabet:
             raise KeyError(f"{old_symbol!r} not in sender alphabet")
         self.table.relabel(old_symbol, new_symbol)
-
-    def conditional_matrix(self) -> np.ndarray:
-        """Row per state: probability of each symbol, in alphabet order."""
-        rows = [self.distribution(s) for s in range(self.num_states)]
-        return np.asarray(rows, dtype=float)
 
     def to_json_dict(self) -> dict:
         return {"sender_index": self.sender_index, "table": self.table.to_json_dict()}
@@ -93,10 +86,14 @@ class Receiver:
     """What the receivers share: a ``kind`` and the policy-file codec.
 
     The receivers differ only in how they map a signal to urn contexts and
-    how they read act scores out of them.  A policy file records the kind,
-    the constructor settings named in ``params``, the dicts named in
-    ``state`` and the act urns ``table``; everything else comes from the
-    game spec.  :func:`receiver_from_json_dict` reads it back.
+    how they read act scores out of them.  ``choice_weights(signal)`` gives
+    the weights a turn draws the act from, reading (and for the urn kinds
+    storing) the signal's urn; ``engine.step`` draws from them itself, and
+    ``choose`` is that draw as a method, the reference the tests compare
+    ``step`` with.  A policy file records the kind, the constructor settings
+    named in ``params``, the dicts named in ``state`` and the act urns
+    ``table``; everything else comes from the game spec.
+    :func:`receiver_from_json_dict` reads it back.
     """
 
     kind: str
@@ -135,11 +132,14 @@ class ConventionalReceiver(Receiver):
     def __init__(self, spec: GameSpec):
         self.table = ReinforcementTable(list(range(spec.num_acts)))
 
+    def choice_weights(self, signal: CompoundSignal) -> list[float]:
+        return self.table.entries[signal]
+
     def choose(self, signal: CompoundSignal, rng: np.random.Generator) -> int:
-        return sample_weights(self.table.entries[signal], rng)
+        return sample_weights(self.choice_weights(signal), rng)
 
     def on_signal(self, signal: CompoundSignal) -> None:
-        pass
+        pass  # never called; perfbench/spans.py patches it (ROADMAP item 1)
 
     def reinforce(self, signal: CompoundSignal, act: int, reward: float) -> None:
         if reward < 0:
@@ -172,12 +172,14 @@ class MinimalistReceiver(Receiver):
         self.table = ReinforcementTable(list(range(spec.num_acts)), initial_weight)
 
     def naive_scores(self, signal: CompoundSignal) -> list[float]:
-        """Per-act summed reinforcement over the signal's present slots."""
+        """Per-act summed reinforcement over the signal's present slots,
+        reading unseen slots' urns without storing them."""
         scores = [0.0] * self.num_acts
-        peek = self.table.peek
+        get = self.table.entries.get
+        fresh = self.table.entries.default_factory
         for symbol in signal:
             if symbol is not None:
-                scores = [s + w for s, w in zip(scores, peek(symbol))]
+                scores = list(map(add, scores, get(symbol) or fresh()))
         return scores
 
     def naive_distribution(self, signal: CompoundSignal) -> list[float]:
@@ -189,14 +191,16 @@ class MinimalistReceiver(Receiver):
     def act_weights(self, signal: CompoundSignal) -> list[float]:
         return _softmax_weights(self.naive_scores(signal), self.temperature)
 
-    def act_distribution(self, signal: CompoundSignal) -> list[float]:
+    def choice_weights(self, signal: CompoundSignal) -> list[float]:
         return tempered_softmax(self.naive_scores(signal), self.temperature)
 
+    act_distribution = choice_weights
+
     def choose(self, signal: CompoundSignal, rng: np.random.Generator) -> int:
-        return sample_weights(self.act_distribution(signal), rng)
+        return sample_weights(self.choice_weights(signal), rng)
 
     def on_signal(self, signal: CompoundSignal) -> None:
-        pass
+        pass  # never called; perfbench/spans.py patches it (ROADMAP item 1)
 
     def reinforce(self, signal: CompoundSignal, act: int, reward: float) -> None:
         """Drop one act ball into the urn of every present atomic slot."""
@@ -271,11 +275,14 @@ class GeneralistReceiver(Receiver):
     def context(self, signal: CompoundSignal) -> frozenset:
         return self._contexts[signal][0]
 
+    def choice_weights(self, signal: CompoundSignal) -> list[float]:
+        return self.table.entries[self._contexts[signal][0]]
+
     def choose(self, signal: CompoundSignal, rng: np.random.Generator) -> int:
-        return sample_weights(self.table.entries[self._contexts[signal][0]], rng)
+        return sample_weights(self.choice_weights(signal), rng)
 
     def on_signal(self, signal: CompoundSignal) -> None:
-        pass
+        pass  # never called; perfbench/spans.py patches it (ROADMAP item 1)
 
     def reinforce(self, signal: CompoundSignal, act: int, reward: float) -> None:
         """On reward, add an act ball to every sub-combination's urn."""

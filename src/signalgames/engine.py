@@ -11,6 +11,8 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import sys
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -27,6 +29,8 @@ from .infotheory import (
     stacked_receiver_info,
     stacked_sender_info,
 )
+# ``step`` writes ``sample_weights`` out; the name stays here, where the
+# benchmark's tracer patches it
 from .reinforcement import BlockUniforms, DegenerateContextError, make_rng, sample_weights
 
 
@@ -78,11 +82,24 @@ class TrajectoryConfig:
         build_agents(self)  # the agents' constructors check their settings
 
     def _check_events(self) -> None:
-        """Replay the events in turn order against the alphabets they rewrite."""
-        alphabets = [list(a) for a in self.spec.sender_alphabets]
+        """Replay the events in turn order against the alphabets they rewrite,
+        carrying a bound on every urn weight: ``ValueError`` naming ``alpha``
+        or ``game.utility`` if a row's total, or the minimalist's sum over
+        slots, could overflow a float."""
+        spec = self.spec
+        alphabets = [list(a) for a in spec.sender_alphabets]
         # retired symbols stay in use: a receiver may still hold urns for them
-        used = set(self.spec.all_symbols())
+        used = set(spec.all_symbols())
         turns = set()
+        # Every urn weight is its starting value plus at most ``growth``.  A
+        # preserving event starts each extended combination's urn at alpha
+        # times a weight, and the new symbol's at alpha times the sum of its
+        # sender's singleton urns, whose starting values ``singletons`` holds:
+        # a turn rewards one singleton of each sender.
+        growth = min(self.total_turns, sys.float_info.max) * max(map(max, spec.utility))
+        start = 1.0  # the initial weight
+        singletons = [float(len(a)) for a in alphabets]
+        preserving = self.receiver_kind == "generalist" and self.introduction_mode == "preserving"
         for index, event in sorted(enumerate(self.events), key=lambda ie: ie[1].turn):
             if not (1 <= event.turn <= self.total_turns):
                 raise EventError(index, f"turn {event.turn} outside [1, {self.total_turns}]")
@@ -104,6 +121,19 @@ class TrajectoryConfig:
             turns.add(event.turn)
             used.add(event.new_symbol)
             alphabet[alphabet.index(event.old_symbol)] = event.new_symbol
+            if preserving:
+                singleton = self.alpha * (singletons[event.sender_index] + growth)
+                singletons[event.sender_index] += singleton
+                start = max(start, self.alpha * (start + growth), singleton)
+        widest = max(spec.num_acts, *map(len, alphabets))
+        if self.receiver_kind == "minimalist":
+            widest = max(widest, spec.num_senders)
+        for name, bound in (("game.utility", 1.0 + growth), ("alpha", start + growth)):
+            if not math.isfinite(bound * widest):
+                raise ValueError(
+                    f"{name}: urn weights could total {bound * widest!r} by turn "
+                    f"{self.total_turns}, more than a float holds"
+                )
 
 
 # The metric fields of InfoReport, in the order the CSVs write them.
@@ -148,16 +178,63 @@ def step(
     """One full round of play, including reinforcement.
 
     Consumes 2 + num_senders draws of ``rng.random()``: state, each sender,
-    then the receiver.  Returns (state, signal, act, reward).
+    then the receiver.  Returns (state, signal, act, reward).  The turn calls
+    the receiver only to read the weights its act is drawn from and, when
+    rewarded, to reinforce; the senders' methods are not called at all.
     """
-    state = sample_weights(spec.state_prior, rng)
-    signal = tuple([sender.choose(state, rng) for sender in senders])
-    receiver.on_signal(signal)
-    act = receiver.choose(signal, rng)
+    # Every draw follows ``sample_weights``, with its float operations in the
+    # same order: the left-fold total, which must be finite and positive, then
+    # the first running total above draw * total, the last index absorbing
+    # rounding.  The state's bisects the prior's totals (``prior_cuts``); the
+    # agents' are its loop written out.
+    random = rng.random
+    cuts, total = spec.prior_cuts
+    state = bisect_right(cuts, random() * total)
+    drawn = []
+    symbols = []
+    for sender in senders:
+        table = sender.table
+        row = table.entries[state]
+        total = 0.0
+        for w in row:
+            total += w
+        if not 0.0 < total < math.inf:
+            raise DegenerateContextError(f"cannot sample from weights totalling {total!r}")
+        r = random() * total
+        acc = 0.0
+        i = 0
+        for w in row:
+            acc += w
+            if r < acc:
+                break
+            i += 1
+        else:
+            i -= 1
+        drawn.append((row, i))
+        symbols.append(table.options[i])
+    signal = tuple(symbols)
+    row = receiver.choice_weights(signal)
+    total = 0.0
+    for w in row:
+        total += w
+    if not 0.0 < total < math.inf:
+        raise DegenerateContextError(f"cannot sample from weights totalling {total!r}")
+    r = random() * total
+    acc = 0.0
+    act = 0
+    for w in row:
+        acc += w
+        if r < acc:
+            break
+        act += 1
+    else:
+        act -= 1
     reward = spec.utility[state][act]
     if reward:
-        for sender, symbol in zip(senders, signal):
-            sender.reinforce(state, symbol, reward)
+        if reward < 0:
+            raise ValueError("negative reinforcement is out of scope")
+        for row, i in drawn:
+            row[i] += reward
         receiver.reinforce(signal, act, reward)
     return state, signal, act, reward
 

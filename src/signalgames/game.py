@@ -7,10 +7,14 @@ slot in a partial signal.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+
+from .reinforcement import DegenerateContextError
 
 PRIOR_TOL = 1e-12
 
@@ -41,6 +45,18 @@ class GameSpec:
     @property
     def num_senders(self) -> int:
         return len(self.sender_alphabets)
+
+    @cached_property
+    def prior_cuts(self) -> tuple[tuple[float, ...], float]:
+        """The prior's running left-fold totals but the last, and the last,
+        its total, for drawing a state by ``sample_weights``' rule:
+        ``bisect_right(cuts, draw * total)`` is the index of the first running
+        total above the draw, or the last index, which absorbs rounding.
+        ``DegenerateContextError`` unless the total is finite and positive."""
+        *cuts, total = itertools.accumulate(self.state_prior, initial=0.0)
+        if not 0.0 < total < math.inf:
+            raise DegenerateContextError(f"cannot sample from weights totalling {total!r}")
+        return tuple(cuts[1:]), total
 
     def prior_array(self) -> np.ndarray:
         return np.asarray(self.state_prior, dtype=float)

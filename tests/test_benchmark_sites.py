@@ -122,9 +122,10 @@ def test_batch_workers_run_under_the_tracer(monkeypatch):
     ids=lambda receiver: "_".join(map(str, receiver.values())),
 )
 def test_traced_per_turn_call_counts(monkeypatch, receiver):
-    # Per-turn spans stay comparable across versions only while each traced
-    # call fires as often per turn as before: 2 + num_senders draws, one
-    # choice per agent, and reinforcement on rewarded turns alone.
+    # A turn draws inside ``engine.step`` and calls the receiver only to read
+    # its act's weights and, on a rewarded turn, to reinforce.  So under a run
+    # no sampler, choose, sender or ``on_signal`` span fires, and the
+    # minimalist's softmax fires once per turn, under ``engine.step``.
     config = TrajectoryConfig(
         spec=make_two_sender_game(),
         total_turns=300,
@@ -147,18 +148,18 @@ def test_traced_per_turn_call_counts(monkeypatch, receiver):
     rewarded_turns = sum(rewarded)
     assert 0 < rewarded_turns < 300
     assert tracer.calls("engine.step") == 300
-    assert tracer.calls("reinforcement.sample_weights") == 1_200
-    assert tracer.calls("agents.sender.choose") == 600
-    assert tracer.calls("agents.receiver.choose") == 300
-    assert tracer.calls("agents.receiver.on_signal") == 300
-    assert tracer.calls("agents.sender.reinforce") == 2 * rewarded_turns
     assert tracer.calls("agents.receiver.reinforce") == rewarded_turns
-    # snapshots read the minimalist's softmax too; the turns' calls are these
-    per_turn_softmax = tracer.aggregate.get(
-        ("agents.tempered_softmax", "agents.receiver.choose"), [0]
-    )[0]
+    for name in (
+        "reinforcement.sample_weights",
+        "agents.sender.choose",
+        "agents.sender.reinforce",
+        "agents.receiver.choose",
+        "agents.receiver.on_signal",
+    ):
+        assert tracer.calls(name) == 0, name
+    per_turn_softmax = tracer.aggregate.get(("agents.tempered_softmax", "engine.step"), [0])[0]
     if config.receiver_kind == "minimalist":
-        assert per_turn_softmax == 300
+        assert per_turn_softmax == tracer.calls("agents.tempered_softmax") == 300
     else:
         assert tracer.calls("agents.tempered_softmax") == 0
 

@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import io
 import json
 import os
@@ -132,6 +133,55 @@ def test_run_rejects_bad_event(tmp_path, capsys, case):
     assert main(["--config", str(path), "--out", str(out)]) == EXIT_CONFIG_ERROR
     assert "experiments[0].events[1]:" in capsys.readouterr().err
     assert not out.exists()  # rejected before the first turn
+
+
+def overflowing_alpha() -> dict:
+    # figure 5 with alpha 1e308: the copies at the event overflow
+    (exp,) = json.loads((CONFIG_DIR / "fig5_generalist_preserving.json").read_text())["experiments"]
+    exp.update(alpha=1e308, total_turns=2000, num_runs=2)
+    exp["events"][0]["turn"] = 1000
+    return exp
+
+
+def overflowing_utility() -> dict:
+    # two rewards of 1e308 on one urn overflow
+    game = {
+        "num_states": 2,
+        "sender_alphabets": [["m0", "m1"]],
+        "num_acts": 2,
+        "state_prior": [0.5, 0.5],
+        "utility": [[1e308, 0], [0, 1e308]],
+    }
+    return {"name": "huge", "game": game, "total_turns": 500}
+
+
+@pytest.mark.parametrize(
+    "experiment, key",
+    [(overflowing_alpha(), "alpha"), (overflowing_utility(), "game.utility")],
+    ids=["alpha", "utility"],
+)
+def test_run_rejects_urn_weights_that_could_overflow(tmp_path, capsys, experiment, key):
+    # such a run used to stop halfway, unable to sample from an infinite total
+    path = write_config(tmp_path, [experiment])
+    out = tmp_path / "out"
+    assert main(["--config", str(path), "--out", str(out)]) == EXIT_CONFIG_ERROR
+    assert f"experiments[0]: {key}: urn weights could total inf" in capsys.readouterr().err
+    assert not out.exists()  # rejected before the first turn
+
+
+def test_urn_weight_bound_accepts_the_benchmark_churn_schedules(tmp_path, monkeypatch):
+    # about 100 chained events, preserving at alpha 1 among them
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", CONFIG_DIR.parent / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
+    spec.loader.exec_module(workloads)
+    for seed in range(3):
+        documents = workloads.generate("churn", seed, CONFIG_DIR)
+        for path in workloads.write_documents(documents, tmp_path / str(seed)).values():
+            (exp,) = parse_config(path)
+            assert len(exp.trajectory.events) > 90
 
 
 # JSON key -> (a value a config may give, the field it sets, that field's

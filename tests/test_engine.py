@@ -30,7 +30,7 @@ from signalgames.engine import (
 )
 from signalgames.game import GameSpec, InvalidSpecError, make_atomic_game, make_two_sender_game
 from signalgames.infotheory import compositional_expected_average, sender_average_info
-from signalgames.reinforcement import DegenerateContextError, make_rng
+from signalgames.reinforcement import DegenerateContextError, make_rng, sample_weights
 
 GAME = make_two_sender_game()
 
@@ -55,6 +55,29 @@ def test_config_validation():
     with pytest.raises(ValueError):
         small_config(events=(ReplacementEvent(5000, 1, "mB0", "mB?"),)).check()
     small_config().check()
+
+
+def test_config_check_bounds_urn_weights_for_any_turn_count():
+    # a count no float holds is compared, not converted, so it cannot raise
+    # OverflowError past the config check's ValueError
+    with pytest.raises(ValueError, match="game.utility: urn weights could total inf"):
+        small_config(total_turns=10**400, events=()).check()
+
+
+@pytest.mark.parametrize("count, fits", [(1000, True), (1100, False)])
+def test_config_check_bounds_preserving_copies(count, fits):
+    # at alpha 1 each event on a sender about doubles the sum of its singleton
+    # urns, which the fresh symbol's urn copies: past 1,024 events it overflows
+    names = ["mA0"] + [f"a{k}" for k in range(count)]
+    events = tuple(ReplacementEvent(k + 1, 0, names[k], names[k + 1]) for k in range(count))
+    config = small_config(
+        receiver_kind="generalist", introduction_mode="preserving", total_turns=count, events=events
+    )
+    if fits:
+        config.check()
+    else:
+        with pytest.raises(ValueError, match="alpha: urn weights could total inf"):
+            config.check()
 
 
 def test_config_check_rejects_a_game_spec_built_directly():
@@ -275,6 +298,40 @@ def test_agents_are_freed_without_the_cycle_collector(receiver):
         assert [ref() for ref in refs] == [None] * len(refs)
     finally:
         gc.enable()
+
+
+class Draws:
+    """An ``rng`` that returns ``values`` in order."""
+
+    def __init__(self, *values):
+        self.random = iter(values).__next__
+
+
+def test_step_draws_the_first_running_total_above_the_draw():
+    spec = make_atomic_game(2)
+    senders, receiver = build_agents(TrajectoryConfig(spec=spec))
+    senders[0].table.entries[0] = [0.0, 1.0]
+    # state 0; then 0.0 on the sender's row, whose running totals are 0.0 and
+    # 1.0: the first above 0.0 is index 1 (a ``<=`` scan picks index 0)
+    assert step(spec, senders, receiver, Draws(0.0, 0.0, 0.0)) == (0, ("m1",), 0, 1.0)
+    assert senders[0].table.entries[0] == [0.0, 2.0]
+    # a receiver row that totals 0 fails as ``sample_weights`` does
+    receiver.table.entries[("m1",)] = [0.0, 0.0]
+    with pytest.raises(DegenerateContextError) as expected:
+        sample_weights([0.0, 0.0], Draws(0.5))
+    with pytest.raises(DegenerateContextError) as raised:
+        step(spec, senders, receiver, Draws(0.0, 0.0, 0.5))
+    assert str(raised.value) == str(expected.value)
+
+
+def test_step_rejects_a_negative_reward_before_reinforcing():
+    spec = replace(make_atomic_game(2), utility=((-1.0, 0.0), (0.0, 1.0)))
+    senders, receiver = build_agents(TrajectoryConfig(spec=spec))
+    with pytest.raises(ValueError, match="negative reinforcement is out of scope"):
+        step(spec, senders, receiver, Draws(0.0, 0.0, 0.0))
+    # the rows drawn from are stored, as the agents' ``choose`` stores them
+    assert senders[0].table.entries == {0: [1.0, 1.0]}
+    assert receiver.table.entries == {("m0",): [1.0, 1.0]}
 
 
 # -- events are checked before the first turn -------------------------------

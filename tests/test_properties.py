@@ -8,9 +8,12 @@ turns.  For each generated run:
 
 * the reports equal the brute-force oracle's metrics to 1e-9 at every event
   snapshot, and at the end when the last report falls on the last turn;
-* ``run`` leaves the agents a plain loop of ``step`` and ``apply_event`` on
-  the same seed leaves, so its snapshots change no policy and it draws the
-  same choices as a bare ``Generator`` does;
+* ``run`` leaves the agents a plain loop leaves that composes each turn
+  from the agents' methods (``sample_weights`` on the prior, each
+  ``Sender.choose``, ``receiver.choose``, then on a rewarded turn each
+  ``reinforce``) and calls ``apply_event`` on the same seed, so its
+  snapshots change no policy, and the draws ``step`` writes out choose as
+  those methods do on a bare ``Generator``;
 * the reports ``run`` computes in one pass after its last turn equal, bit for
   bit, those ``take_snapshot`` and ``make_report`` give at each stop of that
   plain loop, its event snapshots are array-equal to the loop's, and each
@@ -34,7 +37,7 @@ from hypothesis import example, given, settings, strategies as st
 from signalgames import cli, engine
 from signalgames.game import GameSpec, make_two_sender_game
 from signalgames.oracle import enumerate_outcomes, oracle_metrics
-from signalgames.reinforcement import fold_sum, make_rng
+from signalgames.reinforcement import fold_sum, make_rng, sample_weights
 
 RECEIVERS = st.one_of(
     st.just(dict(receiver_kind="conventional")),
@@ -156,9 +159,19 @@ def test_run_invariants(policy_file, config):
         snapshot = engine.take_snapshot(spec, plain_senders, plain_receiver)
         replayed[(turn, phase)] = engine.make_report(spec, snapshot, turn, phase), snapshot
 
+    def reference_step():
+        state = sample_weights(spec.state_prior, rng)
+        signal = tuple([sender.choose(state, rng) for sender in plain_senders])
+        act = plain_receiver.choose(signal, rng)
+        reward = spec.utility[state][act]
+        if reward:
+            for sender, symbol in zip(plain_senders, signal):
+                sender.reinforce(state, symbol, reward)
+            plain_receiver.reinforce(signal, act, reward)
+
     replay_report(0, "regular")
     for turn in range(1, config.total_turns + 1):
-        engine.step(spec, plain_senders, plain_receiver, rng)
+        reference_step()
         if turn in events:
             replay_report(turn, "pre")
             engine.apply_event(events[turn], plain_senders, plain_receiver)

@@ -64,7 +64,7 @@ class Sender:
     def reinforce(self, state: int, symbol: str, reward: float) -> None:
         if reward < 0:
             raise ValueError("negative reinforcement is out of scope")
-        self.table.entries[state][self.table.position[symbol]] += reward
+        self.table.entries[state][self.table.options.index(symbol)] += reward
 
     def replace_message(self, old_symbol: str, new_symbol: str) -> None:
         """Relabel every old-symbol ball; reinforcements carry over exactly."""
@@ -82,36 +82,101 @@ class Sender:
         return sender
 
 
-class Receiver:
-    """What the receivers share: a ``kind`` and the policy-file codec.
+def _full_signal(signal: CompoundSignal) -> tuple:
+    """The conventional rule: the full signal's urn is read and written."""
+    return signal, (signal,)
 
-    The receivers differ only in how they map a signal to urn contexts and
-    how they read act scores out of them.  ``choice_weights(signal)`` gives
-    the weights a turn draws the act from, reading (and for the urn kinds
-    storing) the signal's urn; ``engine.step`` draws from them itself, and
-    ``choose`` is that draw as a method, the reference the tests compare
-    ``step`` with.  A policy file records the kind, the constructor settings
-    named in ``params``, the dicts named in ``state`` and the act urns
-    ``table``; everything else comes from the game spec.
-    :func:`receiver_from_json_dict` reads it back.
+
+def _present_slots(signal: CompoundSignal) -> tuple:
+    """The minimalist rule: each present slot's urn is read and written."""
+    slots = tuple(m for m in signal if m is not None)
+    return slots, slots
+
+
+def _combinations(signal: CompoundSignal) -> tuple[frozenset, tuple[frozenset, ...]]:
+    """The generalist rule: the present slots' combination is read, and every
+    non-empty combination of them is written, smallest first."""
+    present = [m for m in signal if m is not None]
+    sizes = range(1, len(present) + 1)
+    combos = tuple(frozenset(c) for n in sizes for c in itertools.combinations(present, n))
+    return combos[-1] if combos else frozenset(), combos
+
+
+class SignalUrns(dict):
+    """signal -> ``rule(signal)``, stored on first index; never stale, since an
+    entry depends only on its signal, and never dumped."""
+
+    def __init__(self, rule):
+        super().__init__()
+        self.rule = rule  # module-level: the map pickles, and refers to no receiver
+
+    def __missing__(self, signal: CompoundSignal) -> tuple:
+        urns = self[signal] = self.rule(signal)
+        return urns
+
+
+class Receiver:
+    """Act urns ``table``, and ``urns[signal]``, the signal's ``(read, writes)``:
+    the urn key its act is drawn from (the minimalist's: the slot keys it
+    sums) and the urn keys a reward adds an act ball to.  The kinds differ
+    only in the ``rule`` that builds ``urns``, the minimalist's read-out and
+    the generalist's introduction of a new symbol.  ``engine.step`` draws
+    from ``draw_weights(read)`` and writes the urns itself; ``choose`` and
+    ``reinforce`` are the reference turn the tests compare it with.  A policy
+    file records the kind, the constructor settings named in ``params``, the
+    dicts named in ``state`` and ``table``; :func:`receiver_from_json_dict`
+    reads it back.
     """
 
     kind: str
     params: tuple[str, ...] = ()
     state: tuple[str, ...] = ()
-    table: ReinforcementTable
+    rule = staticmethod(_full_signal)
+
+    def __init__(self, spec: GameSpec):
+        self.num_acts = spec.num_acts
+        self.table = ReinforcementTable(list(range(spec.num_acts)))
+        self.urns = SignalUrns(self.rule)
+
+    def __init_subclass__(cls, **kwargs):
+        # perfbench/spans.py patches these in each receiver class's own dict;
+        # ROADMAP item 1 deletes those sites, and this with them
+        super().__init_subclass__(**kwargs)
+        for name in ("choose", "reinforce", "on_signal", "on_replacement"):
+            if name not in vars(cls):
+                setattr(cls, name, vars(Receiver)[name])
 
     def context(self, signal: CompoundSignal):
-        """The urn a signal's act is drawn from."""
-        return tuple(signal)
+        """The signal's ``read``: what its act is drawn from."""
+        return self.urns[signal][0]
+
+    def draw_weights(self, read) -> list[float]:
+        """The weights an act is drawn from; an urn kind stores the urn."""
+        return self.table.entries[read]
 
     def act_weights(self, signal: CompoundSignal) -> list[float]:
-        """The act weights ``act_distribution`` normalizes by their left-fold
-        total; reading them stores nothing."""
+        """``act_distribution`` before normalizing; reading stores nothing."""
         return self.table.peek(self.context(signal))
 
     def act_distribution(self, signal: CompoundSignal) -> list[float]:
         return self.table.distribution(self.context(signal))
+
+    def choose(self, signal: CompoundSignal, rng: np.random.Generator) -> int:
+        return sample_weights(self.draw_weights(self.context(signal)), rng)
+
+    def on_signal(self, signal: CompoundSignal) -> None:
+        pass  # never called; perfbench/spans.py patches it (ROADMAP item 1)
+
+    def reinforce(self, signal: CompoundSignal, act: int, reward: float) -> None:
+        if reward < 0:
+            raise ValueError("negative reinforcement is out of scope")
+        if reward:
+            entries = self.table.entries
+            for key in self.urns[signal][1]:
+                entries[key][act] += reward
+
+    def on_replacement(self, old_symbol: str, new_symbol: str) -> None:
+        pass  # urns holding the new symbol start at the initial weight, uninformative
 
     def to_json_dict(self) -> dict:
         data = {name: getattr(self, name) for name in self.params}
@@ -129,29 +194,6 @@ class ConventionalReceiver(Receiver):
 
     kind = "conventional"
 
-    def __init__(self, spec: GameSpec):
-        self.table = ReinforcementTable(list(range(spec.num_acts)))
-
-    def choice_weights(self, signal: CompoundSignal) -> list[float]:
-        return self.table.entries[signal]
-
-    def choose(self, signal: CompoundSignal, rng: np.random.Generator) -> int:
-        return sample_weights(self.choice_weights(signal), rng)
-
-    def on_signal(self, signal: CompoundSignal) -> None:
-        pass  # never called; perfbench/spans.py patches it (ROADMAP item 1)
-
-    def reinforce(self, signal: CompoundSignal, act: int, reward: float) -> None:
-        if reward < 0:
-            raise ValueError("negative reinforcement is out of scope")
-        if reward:
-            self.table.entries[signal][act] += reward
-
-    def on_replacement(self, old_symbol: str, new_symbol: str) -> None:
-        # No table change: urns for signals with the new symbol materialize
-        # lazily at uniform, so signals containing it carry no information.
-        pass
-
 
 class MinimalistReceiver(Receiver):
     """Act urns keyed by atomic message; acts picked by tempered softmax.
@@ -163,24 +205,28 @@ class MinimalistReceiver(Receiver):
 
     kind = "minimalist"
     params = ("temperature",)
+    rule = staticmethod(_present_slots)
 
     def __init__(self, spec: GameSpec, temperature: float, initial_weight: float = 1.0):
         if not temperature > 0:
             raise ValueError(f"temperature must be positive, not {temperature!r}")
-        self.num_acts = spec.num_acts
+        super().__init__(spec)
         self.temperature = float(temperature)
-        self.table = ReinforcementTable(list(range(spec.num_acts)), initial_weight)
+        self.table = ReinforcementTable(self.table.options, initial_weight)
 
-    def naive_scores(self, signal: CompoundSignal) -> list[float]:
-        """Per-act summed reinforcement over the signal's present slots,
-        reading unseen slots' urns without storing them."""
+    def slot_scores(self, slots: tuple[str, ...]) -> list[float]:
+        """Per-act summed reinforcement over the slots' urns, in slot order,
+        reading unseen urns without storing them."""
         scores = [0.0] * self.num_acts
         get = self.table.entries.get
         fresh = self.table.entries.default_factory
-        for symbol in signal:
-            if symbol is not None:
-                scores = list(map(add, scores, get(symbol) or fresh()))
+        for symbol in slots:
+            scores = list(map(add, scores, get(symbol) or fresh()))
         return scores
+
+    def naive_scores(self, signal: CompoundSignal) -> list[float]:
+        """``slot_scores`` over the signal's present slots."""
+        return self.slot_scores(self.context(signal))
 
     def naive_distribution(self, signal: CompoundSignal) -> list[float]:
         """The naive rule: summed scores normalized to probabilities."""
@@ -188,50 +234,14 @@ class MinimalistReceiver(Receiver):
         total = fold_sum(scores)
         return [s / total for s in scores]
 
+    def draw_weights(self, slots: tuple[str, ...]) -> list[float]:
+        return tempered_softmax(self.slot_scores(slots), self.temperature)
+
     def act_weights(self, signal: CompoundSignal) -> list[float]:
         return _softmax_weights(self.naive_scores(signal), self.temperature)
 
-    def choice_weights(self, signal: CompoundSignal) -> list[float]:
+    def act_distribution(self, signal: CompoundSignal) -> list[float]:
         return tempered_softmax(self.naive_scores(signal), self.temperature)
-
-    act_distribution = choice_weights
-
-    def choose(self, signal: CompoundSignal, rng: np.random.Generator) -> int:
-        return sample_weights(self.choice_weights(signal), rng)
-
-    def on_signal(self, signal: CompoundSignal) -> None:
-        pass  # never called; perfbench/spans.py patches it (ROADMAP item 1)
-
-    def reinforce(self, signal: CompoundSignal, act: int, reward: float) -> None:
-        """Drop one act ball into the urn of every present atomic slot."""
-        if reward < 0:
-            raise ValueError("negative reinforcement is out of scope")
-        if not reward:
-            return
-        entries = self.table.entries
-        for symbol in signal:
-            if symbol is not None:
-                entries[symbol][act] += reward
-
-    def on_replacement(self, old_symbol: str, new_symbol: str) -> None:
-        # The urn for the new symbol is created lazily on first receipt.
-        pass
-
-
-def _combinations(signal: CompoundSignal) -> tuple[frozenset, tuple[frozenset, ...]]:
-    """The signal's present slots as one combination, and every non-empty one, smallest first."""
-    present = [m for m in signal if m is not None]
-    sizes = range(1, len(present) + 1)
-    combos = tuple(frozenset(c) for n in sizes for c in itertools.combinations(present, n))
-    return combos[-1] if combos else frozenset(), combos
-
-
-class SignalContexts(dict):
-    """signal -> ``_combinations(signal)``, stored on first index; never stale, never dumped."""
-
-    def __missing__(self, signal: CompoundSignal) -> tuple[frozenset, tuple[frozenset, ...]]:
-        contexts = self[signal] = _combinations(signal)
-        return contexts
 
 
 class GeneralistReceiver(Receiver):
@@ -246,53 +256,25 @@ class GeneralistReceiver(Receiver):
     kind = "generalist"
     params = ("introduction_mode", "alpha")
     state = ("symbol_sender",)
+    rule = staticmethod(_combinations)
 
-    def __init__(
-        self,
-        spec: GameSpec,
-        introduction_mode: str = "erasing",
-        alpha: float = 1.0,
-    ):
+    def __init__(self, spec: GameSpec, introduction_mode: str = "erasing", alpha: float = 1.0):
         if introduction_mode not in ("erasing", "preserving"):
             raise ValueError(f"unknown introduction mode {introduction_mode!r}")
         if not alpha > 0:
             raise ValueError(f"alpha must be positive, not {alpha!r}")
-        self.num_acts = spec.num_acts
+        super().__init__(spec)
         self.introduction_mode = introduction_mode
         self.alpha = float(alpha)
         # symbol -> sender index; replacement adds the minted symbol here
         self.symbol_sender: dict[str, int] = {
             m: i for i, alphabet in enumerate(spec.sender_alphabets) for m in alphabet
         }
-        self.table = ReinforcementTable(list(range(spec.num_acts)))
-        self._contexts = SignalContexts()
 
     @property
     def act_counts(self) -> ReinforcementTable:
         """The act urns under their former name."""
         return self.table
-
-    def context(self, signal: CompoundSignal) -> frozenset:
-        return self._contexts[signal][0]
-
-    def choice_weights(self, signal: CompoundSignal) -> list[float]:
-        return self.table.entries[self._contexts[signal][0]]
-
-    def choose(self, signal: CompoundSignal, rng: np.random.Generator) -> int:
-        return sample_weights(self.choice_weights(signal), rng)
-
-    def on_signal(self, signal: CompoundSignal) -> None:
-        pass  # never called; perfbench/spans.py patches it (ROADMAP item 1)
-
-    def reinforce(self, signal: CompoundSignal, act: int, reward: float) -> None:
-        """On reward, add an act ball to every sub-combination's urn."""
-        if reward < 0:
-            raise ValueError("negative reinforcement is out of scope")
-        if not reward:
-            return
-        entries = self.table.entries
-        for combo in self._contexts[signal][1]:
-            entries[combo][act] += reward
 
     def on_replacement(self, old_symbol: str, new_symbol: str) -> None:
         """Register the freshly minted symbol and initialize its urns.

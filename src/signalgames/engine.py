@@ -178,9 +178,10 @@ def step(
     """One full round of play, including reinforcement.
 
     Consumes 2 + num_senders draws of ``rng.random()``: state, each sender,
-    then the receiver.  Returns (state, signal, act, reward).  The turn calls
-    the receiver only to read the weights its act is drawn from and, when
-    rewarded, to reinforce; the senders' methods are not called at all.
+    then the receiver.  Returns (state, signal, act, reward).  Every kind's
+    turn is the same: it looks up ``(read, writes) = receiver.urns[signal]``,
+    draws the act from ``receiver.draw_weights(read)`` and, when rewarded,
+    adds the act ball to each urn in ``writes``; no other agent method is called.
     """
     # Every draw follows ``sample_weights``, with its float operations in the
     # same order: the left-fold total, which must be finite and positive, then
@@ -213,7 +214,8 @@ def step(
         drawn.append((row, i))
         symbols.append(table.options[i])
     signal = tuple(symbols)
-    row = receiver.choice_weights(signal)
+    read, writes = receiver.urns[signal]
+    row = receiver.draw_weights(read)
     total = 0.0
     for w in row:
         total += w
@@ -235,7 +237,9 @@ def step(
             raise ValueError("negative reinforcement is out of scope")
         for row, i in drawn:
             row[i] += reward
-        receiver.reinforce(signal, act, reward)
+        entries = receiver.table.entries
+        for key in writes:
+            entries[key][act] += reward
     return state, signal, act, reward
 
 

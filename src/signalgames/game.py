@@ -81,10 +81,10 @@ class GameSpec:
         """The spec ``data`` describes; ``InvalidSpecError`` unless it is valid."""
         spec = cls(
             num_states=_size(data, "num_states"),
-            sender_alphabets=_tuples(data["sender_alphabets"], 2, str, "sender_alphabets"),
+            sender_alphabets=_tuples(data["sender_alphabets"], 2, _symbol, "sender_alphabets"),
             num_acts=_size(data, "num_acts"),
-            state_prior=_tuples(data["state_prior"], 1, float, "state_prior"),
-            utility=_tuples(data["utility"], 2, float, "utility"),
+            state_prior=_tuples(data["state_prior"], 1, _number, "state_prior"),
+            utility=_tuples(data["utility"], 2, _number, "utility"),
         )
         return _check(spec)
 
@@ -97,12 +97,24 @@ def _size(data: dict, name: str) -> int:
     return value
 
 
-def _tuples(value, depth: int, convert, name: str) -> tuple:
-    """JSON lists ``depth`` deep as tuples of ``convert``ed items; a string is not a list."""
+def _symbol(value, name: str) -> str:
+    if type(value) is not str:
+        raise InvalidSpecError(f"{name} must be a string, not {value!r}")
+    return value
+
+
+def _number(value, name: str) -> float:
+    if type(value) not in (int, float):  # JSON's ``true`` is no number
+        raise InvalidSpecError(f"{name} must be a number, not {value!r}")
+    return float(value)
+
+
+def _tuples(value, depth: int, leaf, name: str) -> tuple:
+    """JSON lists ``depth`` deep as tuples of ``leaf(item, path)``; a string is not a list."""
     if not isinstance(value, list):
         raise InvalidSpecError(f"{name} must be a list, not {value!r}")
-    items = (_tuples(v, depth - 1, convert, f"{name}[{i}]") for i, v in enumerate(value))
-    return tuple(items) if depth > 1 else tuple(map(convert, value))
+    inner = leaf if depth == 1 else lambda v, path: _tuples(v, depth - 1, leaf, path)
+    return tuple(inner(v, f"{name}[{i}]") for i, v in enumerate(value))
 
 
 def validate(spec: GameSpec) -> list[str]:
@@ -117,6 +129,8 @@ def validate(spec: GameSpec) -> list[str]:
         problems.append("state_prior entries must be finite and positive")
     if abs(float(prior.sum()) - 1.0) > PRIOR_TOL:
         problems.append(f"state_prior sums to {float(prior.sum())!r}, not 1")
+    if not spec.sender_alphabets:
+        problems.append("sender_alphabets is empty: the game has no sender")
     for i, alphabet in enumerate(spec.sender_alphabets):
         if not alphabet:
             problems.append(f"sender {i} has an empty alphabet")

@@ -73,7 +73,6 @@ class ReinforcementTable:
         if not 0.0 <= initial_weight < math.inf:
             raise ValueError(f"initial weight {initial_weight} is not finite and non-negative")
         self.options = list(options)
-        self.position = {option: i for i, option in enumerate(self.options)}
         self.initial_weight = float(initial_weight)
         # the factory is the row's own bound copy, not the table's: no cycle
         self.entries = defaultdict(([self.initial_weight] * len(self.options)).copy)
@@ -99,7 +98,7 @@ class ReinforcementTable:
         """Add ``amount`` balls of ``option`` to the ``context`` urn."""
         if amount < 0:
             raise ValueError("negative reinforcement is out of scope")
-        self.entries[context][self.position[option]] += amount
+        self.entries[context][self.options.index(option)] += amount
 
     def relabel(self, old_symbol: Hashable, new_symbol: Hashable) -> None:
         """Rename a symbol wherever it appears, keeping every weight.
@@ -114,7 +113,6 @@ class ReinforcementTable:
             raise SymbolCollisionError(f"symbol {new_symbol!r} already in use")
         names = {old_symbol: new_symbol}
         self.options = [_map_key(o, names) for o in self.options]
-        self.position = {option: i for i, option in enumerate(self.options)}
         renamed = [(_map_key(k, names), v) for k, v in self.entries.items()]
         self.entries.clear()
         self.entries.update(renamed)
@@ -137,7 +135,7 @@ class ReinforcementTable:
         are distinct, no context appears twice and each row holds one finite,
         non-negative weight per option."""
         table = cls(data["options"], data["initial_weight"])
-        if len(table.position) != len(table.options):
+        if len(set(table.options)) != len(table.options):
             raise ValueError(f"options {data['options']} are not distinct")
         for entry in data["entries"]:
             row = [float(w) for w in entry["weights"]]

@@ -182,6 +182,38 @@ def test_minimalist_json_round_trip():
 # -- generalist receiver ----------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "receiver, full, partial",
+    [
+        (
+            ConventionalReceiver(GAME),
+            (("mA0", "mB1"), (("mA0", "mB1"),)),
+            (("mA0", None), (("mA0", None),)),
+        ),
+        (
+            MinimalistReceiver(GAME, temperature=2000.0),
+            (("mA0", "mB1"), ("mA0", "mB1")),
+            (("mA0",), ("mA0",)),
+        ),
+        (
+            GeneralistReceiver(GAME, "preserving"),
+            (
+                frozenset({"mA0", "mB1"}),
+                (frozenset({"mA0"}), frozenset({"mB1"}), frozenset({"mA0", "mB1"})),
+            ),
+            (frozenset({"mA0"}), (frozenset({"mA0"}),)),
+        ),
+    ],
+    ids=["conventional", "minimalist", "generalist"],
+)
+def test_urns_map_each_signal_to_its_read_and_writes(receiver, full, partial):
+    # (the urn the act is drawn from, the urns a reward adds an act ball to)
+    assert receiver.urns[("mA0", "mB1")] == full
+    assert receiver.urns[("mA0", None)] == partial
+    assert receiver.context(("mA0", None)) == partial[0]
+    assert receiver.table.entries == {}  # the map stores no urn
+
+
 def test_generalist_reinforce_bookkeeping():
     recv = GeneralistReceiver(GAME)
     sig = ("mA0", "mB0")

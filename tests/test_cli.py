@@ -390,6 +390,75 @@ def test_audit_rejects_game_size_that_is_not_an_integer(tmp_path, capsys):
     assert "malformed policy file (num_states must be an integer, not 4.0)" in err
 
 
+NO_SENDER = {
+    "num_states": 2,
+    "sender_alphabets": [],
+    "num_acts": 2,
+    "state_prior": [0.5, 0.5],
+    "utility": [[1, 0], [0, 1]],
+}
+
+
+def test_run_rejects_a_game_with_no_sender(tmp_path, capsys):
+    # this used to fail at the urn-weight bound with a TypeError, exit 1
+    experiment = tiny_experiment(game=NO_SENDER, events=[])
+    path = write_config(tmp_path, [experiment])
+    assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert "experiments[0].game: bad game spec (sender_alphabets is empty: the game has no sender)" in err
+
+
+def test_audit_rejects_a_game_with_no_sender(tmp_path, capsys):
+    # this used to fail in the joint distribution with an IndexError, exit 1
+    code, err = audit_rewritten_policy(
+        tmp_path, capsys, lambda policy: policy.update(game=NO_SENDER, senders=[])
+    )
+    assert code == EXIT_CONFIG_ERROR
+    assert "malformed policy file (sender_alphabets is empty: the game has no sender)" in err
+
+
+# JSON values that used to load as other types: str(null) is 'None', float("0.5")
+# reads a string and float(true) is 1.0
+MISTYPED_GAME = [
+    ({"sender_alphabets": [[None, "m1"]]}, "sender_alphabets[0][0] must be a string, not None"),
+    ({"sender_alphabets": [["m0", True]]}, "sender_alphabets[0][1] must be a string, not True"),
+    ({"state_prior": ["0.5", "0.5"]}, "state_prior[0] must be a number, not '0.5'"),
+    ({"utility": [[1, 0], [False, True]]}, "utility[1][0] must be a number, not False"),
+]
+
+
+@pytest.mark.parametrize(
+    "game, where", MISTYPED_GAME, ids=["symbol-null", "symbol-true", "prior-string", "utility-bool"]
+)
+def test_run_rejects_game_values_of_the_wrong_json_type(tmp_path, capsys, game, where):
+    spec = {
+        "num_states": 2,
+        "sender_alphabets": [["m0", "m1"]],
+        "num_acts": 2,
+        "state_prior": [0.5, 0.5],
+        "utility": [[1, 0], [0, 1]],
+    }
+    experiment = tiny_experiment(game=dict(spec, **game), events=[])
+    path = write_config(tmp_path, [experiment])
+    assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG_ERROR
+    assert f"experiments[0].game: bad game spec ({where})" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "game, where",
+    [
+        ({"sender_alphabets": [["mA0", None], ["mB0", "mB1"]]}, "sender_alphabets[0][1]"),
+        ({"state_prior": [0.25, 0.25, 0.25, "0.25"]}, "state_prior[3]"),
+        ({"utility": [[True, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}, "utility[0][0]"),
+    ],
+    ids=["symbol-null", "prior-string", "utility-bool"],
+)
+def test_audit_rejects_game_values_of_the_wrong_json_type(tmp_path, capsys, game, where):
+    code, err = audit_rewritten_policy(tmp_path, capsys, lambda policy: policy["game"].update(game))
+    assert code == EXIT_CONFIG_ERROR
+    assert f"malformed policy file ({where} must be a " in err
+
+
 # -- run command ------------------------------------------------------------
 
 

@@ -1,3 +1,4 @@
+import copy
 import gc
 import itertools
 import json
@@ -332,6 +333,24 @@ def test_step_rejects_a_negative_reward_before_reinforcing():
     # the rows drawn from are stored, as the agents' ``choose`` stores them
     assert senders[0].table.entries == {0: [1.0, 1.0]}
     assert receiver.table.entries == {("m0",): [1.0, 1.0]}
+
+
+@pytest.mark.parametrize("receiver", RECEIVERS)
+def test_step_writes_the_urns_that_receiver_reinforce_writes(receiver):
+    # ``step`` adds the act ball to the receiver's urns itself; one rewarded
+    # turn must leave the table as the reference methods leave a copy
+    event = ReplacementEvent(300, 1, "mB0", "mB?")
+    trained = run(small_config(total_turns=300, events=(event,), **receiver))
+    agent = trained.receiver
+    reference = copy.deepcopy(agent)
+    before = copy.deepcopy(agent.table.entries)
+    # state 0, the first symbol of each sender, then act 0, whose reward is 1
+    played = step(GAME, trained.senders, agent, Draws(0.0, 0.0, 0.0, 0.0))
+    assert played == (0, ("mA0", "mB?"), 0, 1.0)
+    assert reference.choose(("mA0", "mB?"), Draws(0.0)) == 0
+    reference.reinforce(("mA0", "mB?"), 0, 1.0)
+    assert agent.table.entries == reference.table.entries
+    assert agent.table.entries != before  # the turn wrote
 
 
 # -- events are checked before the first turn -------------------------------

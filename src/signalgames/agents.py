@@ -21,7 +21,7 @@ from .game import CompoundSignal, GameSpec
 from .reinforcement import (
     ReinforcementTable,
     SymbolCollisionError,
-    fold_sum,
+    normalize_row,
     sample_weights,
 )
 
@@ -29,8 +29,8 @@ from .reinforcement import (
 def _softmax_weights(scores: Sequence[float], temperature: float) -> list[float]:
     """exp(score/T) with the top score subtracted, for overflow safety: the
     tempered softmax before normalization."""
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
+    if not temperature > 0:
+        raise ValueError(f"temperature must be positive, not {temperature!r}")
     if not all(map(math.isfinite, scores)):
         raise ValueError("softmax scores must be finite")
     top = max(scores)
@@ -39,10 +39,9 @@ def _softmax_weights(scores: Sequence[float], temperature: float) -> list[float]
 
 
 def tempered_softmax(scores: Sequence[float], temperature: float) -> list[float]:
-    """exp(score/T) normalized, with max-subtraction for overflow safety."""
-    exps = _softmax_weights(scores, temperature)
-    total = fold_sum(exps)
-    return [e / total for e in exps]
+    """exp(score/T) normalized, with max-subtraction for overflow safety: the
+    top term is exp(0), so the total is at least 1."""
+    return normalize_row(_softmax_weights(scores, temperature), "softmax")
 
 
 class Sender:
@@ -62,9 +61,7 @@ class Sender:
         return self.table.options[sample_weights(self.table.entries[state], rng)]
 
     def reinforce(self, state: int, symbol: str, reward: float) -> None:
-        if reward < 0:
-            raise ValueError("negative reinforcement is out of scope")
-        self.table.entries[state][self.table.options.index(symbol)] += reward
+        self.table.reinforce(state, symbol, reward)
 
     def replace_message(self, old_symbol: str, new_symbol: str) -> None:
         """Relabel every old-symbol ball; reinforcements carry over exactly."""
@@ -120,12 +117,13 @@ class Receiver:
     the urn key its act is drawn from (the minimalist's: the slot keys it
     sums) and the urn keys a reward adds an act ball to.  The kinds differ
     only in the ``rule`` that builds ``urns``, the minimalist's read-out and
-    the generalist's introduction of a new symbol.  ``engine.step`` draws
-    from ``draw_weights(read)`` and writes the urns itself; ``choose`` and
-    ``reinforce`` are the reference turn the tests compare it with.  A policy
-    file records the kind, the constructor settings named in ``params``, the
-    dicts named in ``state`` and ``table``; :func:`receiver_from_json_dict`
-    reads it back.
+    the generalist's introduction of a new symbol; ``act_distribution`` is
+    ``act_weights`` under the matching law of ``reinforcement``, for every
+    kind.  ``engine.step`` draws from ``draw_weights(read)`` and writes the
+    urns itself; ``choose`` and ``reinforce`` are the reference turn the
+    tests compare it with.  A policy file records the kind, the constructor
+    settings named in ``params``, the dicts named in ``state`` and
+    ``table``; :func:`receiver_from_json_dict` reads it back.
     """
 
     kind: str
@@ -159,7 +157,7 @@ class Receiver:
         return self.table.peek(self.context(signal))
 
     def act_distribution(self, signal: CompoundSignal) -> list[float]:
-        return self.table.distribution(self.context(signal))
+        return normalize_row(self.act_weights(signal), self.context(signal))
 
     def choose(self, signal: CompoundSignal, rng: np.random.Generator) -> int:
         return sample_weights(self.draw_weights(self.context(signal)), rng)
@@ -200,7 +198,9 @@ class MinimalistReceiver(Receiver):
 
     Scores for a compound signal are the summed reinforcements of its atomic
     slots, and the softmax is applied to those raw sums: the figure's
-    T = 2000 only bites on the accumulated-count scale.
+    T = 2000 only bites on the accumulated-count scale.  ``draw_weights``,
+    the softmax numerators, is the one read-out: a turn draws from it and
+    ``act_weights`` reads it.
     """
 
     kind = "minimalist"
@@ -224,24 +224,16 @@ class MinimalistReceiver(Receiver):
             scores = list(map(add, scores, get(symbol) or fresh()))
         return scores
 
-    def naive_scores(self, signal: CompoundSignal) -> list[float]:
-        """``slot_scores`` over the signal's present slots."""
-        return self.slot_scores(self.context(signal))
-
     def naive_distribution(self, signal: CompoundSignal) -> list[float]:
         """The naive rule: summed scores normalized to probabilities."""
-        scores = self.naive_scores(signal)
-        total = fold_sum(scores)
-        return [s / total for s in scores]
+        slots = self.context(signal)
+        return normalize_row(self.slot_scores(slots), slots)
 
     def draw_weights(self, slots: tuple[str, ...]) -> list[float]:
-        return tempered_softmax(self.slot_scores(slots), self.temperature)
+        return _softmax_weights(self.slot_scores(slots), self.temperature)
 
     def act_weights(self, signal: CompoundSignal) -> list[float]:
-        return _softmax_weights(self.naive_scores(signal), self.temperature)
-
-    def act_distribution(self, signal: CompoundSignal) -> list[float]:
-        return tempered_softmax(self.naive_scores(signal), self.temperature)
+        return self.draw_weights(self.context(signal))
 
 
 class GeneralistReceiver(Receiver):

@@ -22,16 +22,16 @@ from .agents import Receiver, Sender, make_receiver
 from .game import GameSpec, InvalidSpecError, validate
 from .infotheory import (
     PolicySnapshot,
-    fold,
     receiver_average_info,
     sender_average_info,
     stacked_joint,
     stacked_receiver_info,
     stacked_sender_info,
 )
+from .reinforcement import BlockUniforms, DegenerateContextError, fold, make_rng, normalize
 # ``step`` writes ``sample_weights`` out; the name stays here, where the
 # benchmark's tracer patches it
-from .reinforcement import BlockUniforms, DegenerateContextError, make_rng, sample_weights
+from .reinforcement import sample_weights
 
 
 @dataclass(frozen=True)
@@ -66,9 +66,10 @@ class TrajectoryConfig:
     snapshot_every: int = 100
     seed: int = 0
 
-    def check(self) -> None:
+    def check(self) -> tuple[list[Sender], Receiver]:
         """Raise ``ValueError`` (``EventError`` for an event) unless the
-        config can run from turn 1 to the end."""
+        config can run from turn 1 to the end; return the agents built to
+        check their settings."""
         problems = validate(self.spec)
         if problems:
             raise InvalidSpecError("; ".join(problems))
@@ -79,7 +80,7 @@ class TrajectoryConfig:
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         self._check_events()
-        build_agents(self)  # the agents' constructors check their settings
+        return build_agents(self)  # the agents' constructors check their settings
 
     def _check_events(self) -> None:
         """Replay the events in turn order against the alphabets they rewrite,
@@ -265,25 +266,6 @@ def _capture(senders: Sequence[Sender], receiver: Receiver, values: list) -> tup
     return alphabets
 
 
-def _normalize(weights: np.ndarray, context, labels: Sequence[str]) -> np.ndarray:
-    """Each row of ``weights`` (N, rows, options) over its left-fold total.
-
-    ``DegenerateContextError`` for the first snapshot holding a row whose
-    total is not finite and positive, its label leading the message;
-    ``context(n, row)`` names the row's urn.
-    """
-    with np.errstate(over="ignore"):  # an overflowing total is reported below
-        totals = np.cumsum(weights, axis=-1)[..., -1:]
-    bad = ~((0.0 < totals) & (totals < math.inf))
-    if bad.any():
-        n, row, _ = np.argwhere(bad)[0]
-        total = float(totals[n, row, 0])
-        raise DegenerateContextError(
-            f"{labels[n]}weights for context {context(n, row)!r} total {total!r}"
-        )
-    return weights / totals
-
-
 def _policies(
     spec: GameSpec, receiver: Receiver, alphabets: Sequence[tuple], values: list, labels
 ) -> tuple[list[np.ndarray], np.ndarray]:
@@ -297,14 +279,14 @@ def _policies(
     for size in sizes:
         block = weights[:, start:start + spec.num_states * size]
         block = block.reshape(len(weights), spec.num_states, size)
-        conditionals.append(_normalize(block, lambda n, state: state, labels))
+        conditionals.append(normalize(block, lambda n, state: state, labels))
         start += block[0].size
 
     def signal_context(n, row):
         return receiver.context(list(itertools.product(*alphabets[n]))[row])
 
     rows = weights[:, start:].reshape(len(weights), -1, spec.num_acts)
-    rho = _normalize(rows, signal_context, labels)
+    rho = normalize(rows, signal_context, labels)
     return conditionals, rho.reshape((len(weights),) + sizes + (spec.num_acts,))
 
 
@@ -381,10 +363,9 @@ def run(config: TrajectoryConfig) -> Trajectory:
     read on both sides of it.  A stop only copies the agents' urn rows; one
     pass after the last turn computes every report and event snapshot.
     """
-    config.check()
+    senders, receiver = config.check()
     spec = config.spec
     rng = BlockUniforms(make_rng(config.seed))
-    senders, receiver = build_agents(config)
     events_by_turn = {event.turn: event for event in config.events}
     every = config.snapshot_every
     stops, alphabets, values = [], [], []

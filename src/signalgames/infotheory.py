@@ -10,8 +10,8 @@ Every metric is an array expression over two tensors: the joint
 ``rho(act | m_1, ..., m_k)``.  Each is written once over a leading snapshot
 axis, so a run's N snapshots are measured in one pass and a single
 :class:`PolicySnapshot` is the case N = 1.  Reported totals are summed left to
-right in signal order (:func:`fold`), so they do not depend on how numpy
-groups the terms of a long sum.
+right in signal order (:func:`reinforcement.fold`), so they do not depend on
+how numpy groups the terms of a long sum.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .game import CompoundSignal, signal_label
+from .reinforcement import fold
 
 NEG_INF = float("-inf")
 
@@ -33,13 +34,6 @@ NEG_INF = float("-inf")
 ZERO_TOL = 1e-15
 
 NORM_TOL = 1e-9
-
-
-def fold(terms: np.ndarray) -> np.ndarray:
-    """Each snapshot's terms (all but the leading axis) summed left to right in
-    C order: ``cumsum`` adds in sequence, while ``ndarray.sum`` pairs terms
-    from 8 on."""
-    return np.cumsum(terms.reshape(len(terms), -1), axis=1)[:, -1]
 
 
 def csv_cell(value: float) -> str:

@@ -4,6 +4,10 @@ A :class:`ReinforcementTable` is a keyed collection of urns: each context key
 maps to a vector of accumulated weights, one per option.  Choice probabilities
 are proportional to accumulated weight (Herrnstein matching), and sampling is
 driven by a seeded ``numpy`` generator so runs are reproducible bit-for-bit.
+
+The matching law is written once, here: every distribution is a row over its
+left-fold total (:func:`normalize`, :func:`fold`); only the turn's draws and
+the prior's cuts write their totals out, for speed.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import defaultdict
-from typing import Hashable, Iterable, Sequence
+from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
@@ -27,14 +31,36 @@ class SymbolCollisionError(ValueError):
     """A relabel or introduction would reuse an existing symbol."""
 
 
-def fold_sum(values: Iterable[float]) -> float:
-    """Left-to-right float sum, the same on every Python version: ``sum`` is
-    compensated from Python 3.12 on, so its totals there differ in the last
-    digit."""
-    total = 0.0
-    for value in values:
-        total += value
-    return total
+def fold(terms: np.ndarray) -> np.ndarray:
+    """Each leading index's terms (all but the leading axis) summed left to
+    right in C order: ``cumsum`` adds in sequence, while ``ndarray.sum`` pairs
+    terms from 8 on, and Python's ``sum`` is compensated from 3.12 on."""
+    return np.cumsum(terms.reshape(len(terms), -1), axis=1)[:, -1]
+
+
+def normalize(weights: np.ndarray, context: Callable, labels: Sequence[str] = ("",)) -> np.ndarray:
+    """Each row of ``weights`` (N, rows, options) over its left-fold total:
+    the matching law.
+
+    ``DegenerateContextError`` for the first of the N holding a row whose
+    total is not finite and positive, its label leading the message;
+    ``context(n, row)`` names the row's urn.
+    """
+    with np.errstate(over="ignore"):  # an overflowing total is reported below
+        totals = fold(weights.reshape(-1, weights.shape[-1])).reshape(*weights.shape[:-1], 1)
+    bad = ~((0.0 < totals) & (totals < math.inf))
+    if bad.any():
+        n, row, _ = np.argwhere(bad)[0]
+        total = float(totals[n, row, 0])
+        raise DegenerateContextError(
+            f"{labels[n]}weights for context {context(n, row)!r} total {total!r}"
+        )
+    return weights / totals
+
+
+def normalize_row(row: Sequence[float], context: Hashable) -> list[float]:
+    """One row by :func:`normalize`, as Python floats; ``context`` names it."""
+    return normalize(np.array([[row]], dtype=float), lambda n, i: context)[0, 0].tolist()
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -88,11 +114,7 @@ class ReinforcementTable:
 
     def distribution(self, context: Hashable) -> list[float]:
         """Weights normalized to a probability vector (matching law)."""
-        row = self.peek(context)
-        total = fold_sum(row)
-        if not 0.0 < total < math.inf:
-            raise DegenerateContextError(f"weights for context {context!r} total {total!r}")
-        return [w / total for w in row]
+        return normalize_row(self.peek(context), context)
 
     def reinforce(self, context: Hashable, option: Hashable, amount: float) -> None:
         """Add ``amount`` balls of ``option`` to the ``context`` urn."""
@@ -154,7 +176,7 @@ class ReinforcementTable:
 def sample_weights(weights: Sequence[float], rng: np.random.Generator) -> int:
     """Draw an index with probability proportional to its weight, consuming
     one draw; the last index absorbs accumulated rounding.  The total, the
-    left fold of ``fold_sum`` inlined, must be finite and positive."""
+    left fold of :func:`fold` written out, must be finite and positive."""
     total = 0.0
     for w in weights:
         total += w

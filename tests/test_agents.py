@@ -14,7 +14,7 @@ from signalgames.agents import (
     tempered_softmax,
 )
 from signalgames.game import make_two_sender_game
-from signalgames.reinforcement import SymbolCollisionError, make_rng
+from signalgames.reinforcement import DegenerateContextError, SymbolCollisionError, make_rng
 
 GAME = make_two_sender_game()
 
@@ -61,8 +61,9 @@ def test_softmax_and_naive_totals_fold_left_to_right():
 
 
 def test_softmax_rejects_bad_input():
-    with pytest.raises(ValueError):
-        tempered_softmax([1.0, 2.0], 0.0)
+    for temperature in (0.0, float("nan")):
+        with pytest.raises(ValueError, match="temperature must be positive"):
+            tempered_softmax([1.0, 2.0], temperature)
     with pytest.raises(ValueError):
         tempered_softmax([1.0, float("inf")], 1.0)
 
@@ -139,10 +140,25 @@ def test_minimalist_scores_are_summed_urns():
     recv = MinimalistReceiver(GAME, temperature=2000.0)
     recv.reinforce(("mA0", "mB0"), 0, 1.0)  # one ball in each atomic urn
     # each urn starts at weight 1 per act, so two urns sum to 2 + the ball
-    assert recv.naive_scores(("mA0", "mB0")) == [4.0, 2.0, 2.0, 2.0]
+    assert recv.slot_scores(recv.context(("mA0", "mB0"))) == [4.0, 2.0, 2.0, 2.0]
     # partial signals read a single urn
-    assert recv.naive_scores(("mA0", None)) == [2.0, 1.0, 1.0, 1.0]
+    assert recv.slot_scores(recv.context(("mA0", None))) == [2.0, 1.0, 1.0, 1.0]
     assert recv.naive_distribution(("mA0", None)) == [0.4, 0.2, 0.2, 0.2]
+
+
+def test_minimalist_naive_distribution_names_slots_it_cannot_normalize():
+    # no present slot sums to zero scores; so do unseen slots at weight 0
+    for recv, signal, message in (
+        (MinimalistReceiver(GAME, temperature=2000.0), (None, None), r"context \(\) total 0\.0"),
+        (
+            MinimalistReceiver(GAME, temperature=2000.0, initial_weight=0.0),
+            ("mA0", "mB1"),
+            r"context \('mA0', 'mB1'\) total 0\.0",
+        ),
+    ):
+        with pytest.raises(DegenerateContextError, match=message):
+            recv.naive_distribution(signal)
+        assert recv.table.entries == {}  # and stores no urn
 
 
 def test_minimalist_naive_long_run_distribution():

@@ -244,6 +244,27 @@ def test_snapshot_leaves_policies_unchanged(receiver):
     assert urn_entries(fresh_senders, fresh_receiver) == [0, 0, 0]
 
 
+def hexes(row):
+    return [float(p).hex() for p in row]
+
+
+@pytest.mark.parametrize("receiver", RECEIVERS)
+def test_scalar_reads_equal_the_snapshot_rows(receiver):
+    # the one-row reads and a snapshot normalize through the same function,
+    # so each read is its snapshot row to the last bit
+    event = ReplacementEvent(300, 1, "mB0", "mB?")
+    trained = run(small_config(total_turns=600, events=(event,), **receiver))
+    senders, agent = trained.senders, trained.receiver
+    snapshot = take_snapshot(GAME, senders, agent)
+    rho = snapshot.receiver_conditionals
+    signals = itertools.product(*snapshot.sender_alphabets)
+    for index, signal in zip(np.ndindex(rho.shape[:-1]), signals, strict=True):
+        assert hexes(agent.act_distribution(signal)) == hexes(rho[index]), signal
+    for sender, conditional in zip(senders, snapshot.sender_conditionals, strict=True):
+        for state in range(GAME.num_states):
+            assert hexes(sender.table.distribution(state)) == hexes(conditional[state])
+
+
 @pytest.mark.parametrize("receiver", RECEIVERS)
 def test_reads_store_no_urns_after_fresh_symbols(receiver):
     # after events mint fresh symbols, every signal holding one reads an urn

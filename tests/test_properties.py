@@ -26,9 +26,11 @@ another JSON type or shape without a traceback: it exits 0, 2 or 3.
 """
 
 import contextlib
+import functools
 import io
 import json
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -37,7 +39,7 @@ from hypothesis import example, given, settings, strategies as st
 from signalgames import cli, engine
 from signalgames.game import GameSpec, make_two_sender_game
 from signalgames.oracle import enumerate_outcomes, oracle_metrics
-from signalgames.reinforcement import fold_sum, make_rng, sample_weights
+from signalgames.reinforcement import make_rng, sample_weights
 
 RECEIVERS = st.one_of(
     st.just(dict(receiver_kind="conventional")),
@@ -186,7 +188,8 @@ def test_run_invariants(policy_file, config):
     # make_report is the run's pass at N = 1, so the two above agree however
     # the pass sums; this pins the sum to a left fold
     for report, snapshot in replayed.values():
-        assert report.expected_payoff == fold_sum(payoff_terms(spec, snapshot))
+        terms = payoff_terms(spec, snapshot)
+        assert report.expected_payoff == functools.reduce(operator.add, terms, 0.0)
 
     policy_file.write_text(cli._policy_json(trajectory))
     loaded_spec, loaded, loaded_senders, loaded_receiver = cli.load_policy(policy_file)

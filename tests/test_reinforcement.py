@@ -14,7 +14,7 @@ from signalgames.reinforcement import (
     DegenerateContextError,
     ReinforcementTable,
     SymbolCollisionError,
-    fold_sum,
+    fold,
     make_rng,
     sample_weights,
 )
@@ -172,11 +172,11 @@ def test_totals_fold_left_to_right():
     for _ in range(200):
         n = int(rng.integers(1, 9))
         row = (rng.random(n) * 10.0 ** rng.integers(-3, 17, n)).tolist()  # mixed scales
-        assert fold_sum(row) == functools.reduce(operator.add, row, 0.0)
+        assert fold(np.array([row]))[0] == functools.reduce(operator.add, row, 0.0)
     # A left fold absorbs each 1.0 into 1e16; a compensated sum (``sum`` from
     # Python 3.12 on) totals this row as 1e16 + 2.
     row = [1e16, 1.0, 1.0]
-    assert fold_sum(row) == 1e16
+    assert fold(np.array([row]))[0] == 1e16
     table = ReinforcementTable(["a", "b", "c"])
     table.entries["x"] = row
     assert table.distribution("x")[0] == 1.0

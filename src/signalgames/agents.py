@@ -21,6 +21,7 @@ from .game import CompoundSignal, GameSpec
 from .reinforcement import (
     ReinforcementTable,
     SymbolCollisionError,
+    _number,
     normalize_row,
     sample_weights,
 )
@@ -322,8 +323,10 @@ def make_receiver(spec: GameSpec, kind: str, /, **settings) -> Receiver:
 
 
 def receiver_from_json_dict(spec: GameSpec, data: dict) -> Receiver:
-    """The receiver that ``Receiver.to_json_dict`` wrote as ``data``."""
-    receiver = make_receiver(spec, data["kind"], **data)
+    """The receiver that ``Receiver.to_json_dict`` wrote as ``data``; its
+    settings that are numbers must be JSON numbers."""
+    numbers = {k: _number(data[k], k) for k in ("temperature", "alpha") if k in data}
+    receiver = make_receiver(spec, data["kind"], **{**data, **numbers})
     for name in receiver.state:
         setattr(receiver, name, dict(data[name]))  # pair lists of older files too
     receiver.table = ReinforcementTable.from_json_dict(data["table"])

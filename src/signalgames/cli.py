@@ -31,7 +31,6 @@ from .engine import (
 )
 from .game import GameSpec, make_atomic_game, make_two_sender_game, signal_label
 from .infotheory import (
-    NEG_INF,
     PolicySnapshot,
     compositional_conditionals,
     csv_cell,
@@ -325,7 +324,7 @@ def _check_senders(spec: GameSpec, senders: list[dict]) -> None:
     expected = dict(enumerate((i, len(a)) for i, a in enumerate(spec.sender_alphabets)))
     for i in sorted(found.keys() | expected.keys()):
         got, want = found.get(i), expected.get(i)
-        if got != want:
+        if got != want or type(got[0]) is not int:  # true and 1.0 equal 1
             raise ValueError(f"senders[{i}]: (sender_index, alphabet size) is {got}, not {want}")
     owner: dict = {}
     for i, sender in enumerate(senders):
@@ -395,9 +394,7 @@ def _format_table(table) -> str:
     header = " " * width + "  " + "  ".join(f"{c:>8}" for c in table.col_labels)
     lines = [header]
     for label, row in zip(table.row_labels, table.cells):
-        cells = "  ".join(
-            f"{'-inf':>8}" if v == NEG_INF else f"{v:8.3f}" for v in row
-        )
+        cells = "  ".join(f"{v:8.3f}" for v in row)  # the -inf sentinel reads "    -inf"
         lines.append(f"{label:<{width}}  {cells}")
     return "\n".join(lines)
 

@@ -86,7 +86,8 @@ class TrajectoryConfig:
         """Replay the events in turn order against the alphabets they rewrite,
         carrying a bound on every urn weight: ``ValueError`` naming ``alpha``
         or ``game.utility`` if a row's total, or the minimalist's sum over
-        slots, could overflow a float."""
+        slots, could overflow a float, or a preserving copy fall below the
+        smallest normal float, where it may round to 0."""
         spec = self.spec
         alphabets = [list(a) for a in spec.sender_alphabets]
         # retired symbols stay in use: a receiver may still hold urns for them
@@ -126,6 +127,13 @@ class TrajectoryConfig:
                 singleton = self.alpha * (singletons[event.sender_index] + growth)
                 singletons[event.sender_index] += singleton
                 start = max(start, self.alpha * (start + growth), singleton)
+        # A key holds at most one symbol per sender, and a copy adds a fresh
+        # one, times alpha, to a key that holds none of its sender's (a fresh
+        # singleton sums an original one): no weight falls below alpha ** k,
+        # for the k senders whose symbols the events replace.
+        k = len({event.sender_index for event in self.events})
+        if preserving and 0 < self.alpha < 1 and self.alpha**k < sys.float_info.min:
+            raise ValueError(f"alpha: copies could weigh {self.alpha!r} ** {k}, not a normal float")
         widest = max(spec.num_acts, *map(len, alphabets))
         if self.receiver_kind == "minimalist":
             widest = max(widest, spec.num_senders)
@@ -267,7 +275,7 @@ def _capture(senders: Sequence[Sender], receiver: Receiver, values: list) -> tup
 
 
 def _policies(
-    spec: GameSpec, receiver: Receiver, alphabets: Sequence[tuple], values: list, labels
+    spec: GameSpec, receiver: Receiver, alphabets: Sequence[tuple], values: list
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """The sender conditionals, one (N, S, |M_i|) array per sender, and the
     receiver conditionals, (N, |M_1|, ..., |M_k|, A), of N stops' ``values``
@@ -279,20 +287,18 @@ def _policies(
     for size in sizes:
         block = weights[:, start:start + spec.num_states * size]
         block = block.reshape(len(weights), spec.num_states, size)
-        conditionals.append(normalize(block, lambda n, state: state, labels))
+        conditionals.append(normalize(block, lambda n, state: state))
         start += block[0].size
 
     def signal_context(n, row):
         return receiver.context(list(itertools.product(*alphabets[n]))[row])
 
     rows = weights[:, start:].reshape(len(weights), -1, spec.num_acts)
-    rho = normalize(rows, signal_context, labels)
+    rho = normalize(rows, signal_context)
     return conditionals, rho.reshape((len(weights),) + sizes + (spec.num_acts,))
 
 
-def take_snapshot(
-    spec: GameSpec, senders: Sequence[Sender], receiver: Receiver
-) -> PolicySnapshot:
+def take_snapshot(spec: GameSpec, senders: Sequence[Sender], receiver: Receiver) -> PolicySnapshot:
     """Freeze current conditional distributions over the live alphabets.
 
     Reading a policy never changes it: agents report unseen urns at their
@@ -300,7 +306,7 @@ def take_snapshot(
     """
     values = []
     alphabets = _capture(senders, receiver, values)
-    conditionals, rho = _policies(spec, receiver, [alphabets], values, ("",))
+    conditionals, rho = _policies(spec, receiver, [alphabets], values)
     return PolicySnapshot(spec.prior_array(), alphabets, [c[0] for c in conditionals], rho[0])
 
 
@@ -333,14 +339,13 @@ def _measure(trajectory: Trajectory, stops: list, alphabets: list, values: list)
     """Fill the trajectory's reports and event snapshots from the rows
     ``_capture`` took at each (turn, phase) of ``stops``, in one pass."""
     spec = trajectory.config.spec
-    labels = [f"turn {turn} {phase}: " for turn, phase in stops]
-    conditionals, rho = _policies(spec, trajectory.receiver, alphabets, values, labels)
+    conditionals, rho = _policies(spec, trajectory.receiver, alphabets, values)
     prior = spec.prior_array()
     joint = stacked_joint(prior, conditionals)
     metrics = (
         _expected_payoffs(spec.utility_array(), joint, rho),
-        stacked_sender_info(joint, prior, labels),
-        stacked_receiver_info(joint, rho, prior, labels),
+        stacked_sender_info(joint, prior),
+        stacked_receiver_info(joint, rho, prior),
     )
     trajectory.reports = [
         InfoReport(turn, phase, *row)
@@ -358,16 +363,16 @@ def _measure(trajectory: Trajectory, stops: list, alphabets: list, values: list)
 def run(config: TrajectoryConfig) -> Trajectory:
     """Execute one seeded trajectory, returning its metric reports.
 
-    The loop steps from stop to stop.  A stop is a cadence turn, or an event
-    turn, where the event fires after the turn's step and the agents are
-    read on both sides of it.  A stop only copies the agents' urn rows; one
-    pass after the last turn computes every report and event snapshot.
+    The loop steps from stop to stop.  A stop is turn 0, a cadence turn,
+    the last turn, or an event turn, where the event fires after the turn's
+    step and the agents are read on both sides of it.  A stop only copies the
+    agents' urn rows; one pass after the last turn computes every report and
+    event snapshot.  ``config.check()`` rules out any failure after turn 1.
     """
     senders, receiver = config.check()
     spec = config.spec
     rng = BlockUniforms(make_rng(config.seed))
     events_by_turn = {event.turn: event for event in config.events}
-    every = config.snapshot_every
     stops, alphabets, values = [], [], []
 
     def capture(turn: int, phase: str) -> None:
@@ -375,11 +380,11 @@ def run(config: TrajectoryConfig) -> Trajectory:
         alphabets.append(_capture(senders, receiver, values))
 
     capture(0, "regular")
-    turn = 0
-    for stop in sorted({*range(every, config.total_turns + 1, every), *events_by_turn}):
+    end, every = config.total_turns, config.snapshot_every
+    turns = sorted({*range(every, end + 1, every), *events_by_turn, end} - {0})
+    for turn, stop in zip([0, *turns], turns):
         for _ in range(stop - turn):
             step(spec, senders, receiver, rng)
-        turn = stop
         event = events_by_turn.get(stop)
         if event is None:
             capture(stop, "regular")
@@ -387,8 +392,6 @@ def run(config: TrajectoryConfig) -> Trajectory:
             capture(stop, "pre")
             apply_event(event, senders, receiver)
             capture(stop, "post")
-    for _ in range(config.total_turns - turn):
-        step(spec, senders, receiver, rng)
 
     trajectory = Trajectory(config=config, reports=[], senders=senders, receiver=receiver)
     _measure(trajectory, stops, alphabets, values)

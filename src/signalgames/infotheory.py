@@ -41,24 +41,15 @@ def csv_cell(value: float) -> str:
     return "-inf" if value == NEG_INF else f"{value:.12g}"
 
 
-def _first(bad: np.ndarray) -> int:
-    """The first snapshot (leading index) with a ``bad`` entry, or -1."""
-    failing = bad.reshape(len(bad), -1).any(axis=1)
-    return int(failing.argmax()) if failing.any() else -1
-
-
-def _check_normalized(p: np.ndarray, name: str, labels=("",), rows=True) -> None:
+def _check_normalized(p: np.ndarray, name: str, rows=True) -> None:
     """Raise unless every vector along the last axis of ``p`` (N, ..., n) is a
-    distribution, for the first failing snapshot, its label leading the
-    message; ``rows`` (N, ...) selects the vectors to check."""
-    n = _first((p < -ZERO_TOL).any(axis=-1) & rows)
-    if n >= 0:
-        raise ValueError(f"{labels[n]}{name} has negative entries")
+    distribution; ``rows`` (N, ...) selects the vectors to check."""
+    if ((p < -ZERO_TOL).any(axis=-1) & rows).any():
+        raise ValueError(f"{name} has negative entries")
     sums = p.sum(axis=-1)
     off = (np.abs(sums - 1.0) > NORM_TOL) & rows
-    n = _first(off)
-    if n >= 0:
-        raise ValueError(f"{labels[n]}{name} sums to {float(sums[n][off[n]][0])!r}, not 1")
+    if off.any():
+        raise ValueError(f"{name} sums to {float(sums[off][0])!r}, not 1")
 
 
 def pointwise_info(p_cond: float, p_prior: float) -> float:
@@ -70,7 +61,7 @@ def pointwise_info(p_cond: float, p_prior: float) -> float:
     return math.log2(p_cond / p_prior)
 
 
-def _average_info(q: np.ndarray, cond: np.ndarray, prior: np.ndarray, labels=("",)) -> np.ndarray:
+def _average_info(q: np.ndarray, cond: np.ndarray, prior: np.ndarray) -> np.ndarray:
     """Per snapshot, the sum of q(m) * KL(cond[m] || prior) in bits over
     messages with q(m) > ZERO_TOL.
 
@@ -80,7 +71,7 @@ def _average_info(q: np.ndarray, cond: np.ndarray, prior: np.ndarray, labels=(""
     are checked.
     """
     sent = q > ZERO_TOL
-    _check_normalized(cond, "conditional", labels, sent)
+    _check_normalized(cond, "conditional", sent)
     _check_normalized(prior[None], "prior")
     if (prior <= 0).any():
         raise ValueError("prior must be strictly positive")
@@ -114,19 +105,17 @@ def stacked_joint(prior: np.ndarray, sender_conditionals: Sequence[np.ndarray]) 
     return prior.reshape((-1,) + (1,) * (probs.ndim - 2)) * probs
 
 
-def stacked_sender_info(joint: np.ndarray, prior: np.ndarray, labels=("",)) -> np.ndarray:
+def stacked_sender_info(joint: np.ndarray, prior: np.ndarray) -> np.ndarray:
     """Average information the compound signals carry about states (bits),
     per snapshot of the ``stacked_joint``."""
     joint = joint.reshape(joint.shape[:2] + (-1,))  # one column per signal
     q = joint.sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         posterior = (joint / q[:, None]).transpose(0, 2, 1)
-    return _average_info(q, posterior, prior, labels)
+    return _average_info(q, posterior, prior)
 
 
-def stacked_receiver_info(
-    joint: np.ndarray, rho: np.ndarray, prior: np.ndarray, labels=("",)
-) -> np.ndarray:
+def stacked_receiver_info(joint: np.ndarray, rho: np.ndarray, prior: np.ndarray) -> np.ndarray:
     """Average information the compound signals carry about acts (bits), per
     snapshot of the ``stacked_joint`` and the receiver conditionals ``rho``.
 
@@ -136,7 +125,7 @@ def stacked_receiver_info(
     and fresh signals show all-zero rows.  Acts tables use the same
     baseline.
     """
-    return _average_info(joint.sum(axis=1), rho, prior, labels)
+    return _average_info(joint.sum(axis=1), rho, prior)
 
 
 def _read_only(array) -> np.ndarray:

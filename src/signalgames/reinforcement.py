@@ -38,13 +38,13 @@ def fold(terms: np.ndarray) -> np.ndarray:
     return np.cumsum(terms.reshape(len(terms), -1), axis=1)[:, -1]
 
 
-def normalize(weights: np.ndarray, context: Callable, labels: Sequence[str] = ("",)) -> np.ndarray:
+def normalize(weights: np.ndarray, context: Callable) -> np.ndarray:
     """Each row of ``weights`` (N, rows, options) over its left-fold total:
     the matching law.
 
-    ``DegenerateContextError`` for the first of the N holding a row whose
-    total is not finite and positive, its label leading the message;
-    ``context(n, row)`` names the row's urn.
+    ``DegenerateContextError`` for the first row whose total is not finite
+    and positive, named by ``context(n, row)``.  A run's rows always pass:
+    its config check bounds every urn weight above and below.
     """
     with np.errstate(over="ignore"):  # an overflowing total is reported below
         totals = fold(weights.reshape(-1, weights.shape[-1])).reshape(*weights.shape[:-1], 1)
@@ -52,15 +52,21 @@ def normalize(weights: np.ndarray, context: Callable, labels: Sequence[str] = ("
     if bad.any():
         n, row, _ = np.argwhere(bad)[0]
         total = float(totals[n, row, 0])
-        raise DegenerateContextError(
-            f"{labels[n]}weights for context {context(n, row)!r} total {total!r}"
-        )
+        raise DegenerateContextError(f"weights for context {context(n, row)!r} total {total!r}")
     return weights / totals
 
 
 def normalize_row(row: Sequence[float], context: Hashable) -> list[float]:
     """One row by :func:`normalize`, as Python floats; ``context`` names it."""
     return normalize(np.array([[row]], dtype=float), lambda n, i: context)[0, 0].tolist()
+
+
+def _number(value, key: str) -> float:
+    """A JSON number as a float; ``ValueError`` naming ``key`` for anything
+    else, such as ``"1.5"`` and ``true``, which ``float()`` also takes."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{key} must be a number, not {value!r}")
+    return float(value)
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -153,14 +159,15 @@ class ReinforcementTable:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ReinforcementTable":
-        """The table ``to_json_dict`` wrote; ``ValueError`` unless its options
-        are distinct, no context appears twice and each row holds one finite,
-        non-negative weight per option."""
-        table = cls(data["options"], data["initial_weight"])
+        """The table ``to_json_dict`` wrote; ``ValueError`` unless every weight,
+        the initial one too, is a JSON number, its options are distinct, no
+        context appears twice and each row holds one finite, non-negative
+        weight per option."""
+        table = cls(data["options"], _number(data["initial_weight"], "initial_weight"))
         if len(set(table.options)) != len(table.options):
             raise ValueError(f"options {data['options']} are not distinct")
         for entry in data["entries"]:
-            row = [float(w) for w in entry["weights"]]
+            row = [_number(w, "weights") for w in entry["weights"]]
             if len(row) != len(table.options) or not all(0.0 <= w < math.inf for w in row):
                 raise ValueError(
                     f"context {entry['context']} needs one finite, non-negative weight "

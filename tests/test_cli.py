@@ -169,6 +169,23 @@ def test_run_rejects_urn_weights_that_could_overflow(tmp_path, capsys, experimen
     assert not out.exists()  # rejected before the first turn
 
 
+def test_run_rejects_preserving_copies_that_could_round_to_zero(tmp_path, capsys):
+    # the copy for {mA?, mB?} is alpha ** 2, about 1e-340, which rounds to 0:
+    # this run used to fail after it started, unable to sample from a total of 0
+    events = [
+        {"turn": 10, "sender": 1, "old": "mB0", "new": "mB?"},
+        {"turn": 20, "sender": 0, "old": "mA0", "new": "mA?"},
+    ]
+    experiment = tiny_experiment(
+        receiver="generalist", introduction_mode="preserving", alpha=1e-170, events=events
+    )
+    path = write_config(tmp_path, [experiment])
+    out = tmp_path / "out"
+    assert main(["--config", str(path), "--out", str(out)]) == EXIT_CONFIG_ERROR
+    assert "experiments[0]: alpha: copies could weigh 1e-170 ** 2" in capsys.readouterr().err
+    assert not out.exists()  # rejected before the first turn
+
+
 def test_urn_weight_bound_accepts_the_benchmark_churn_schedules(tmp_path, monkeypatch):
     # about 100 chained events, preserving at alpha 1 among them
     spec = importlib.util.spec_from_file_location(
@@ -1085,6 +1102,46 @@ def test_audit_rejects_urn_context_given_twice(tmp_path, capsys, agent):
     assert main(["--audit", str(path), "--replace", "mA0"]) == EXIT_CONFIG_ERROR
     message = f"malformed policy file (context {first['context']} appears twice)"
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "figure, path, value",
+    [
+        ("fig2_conventional", ("senders", 0, "table", "entries", 0, "weights", 1), "1.5"),
+        ("fig2_conventional", ("receiver", "table", "entries", 0, "weights", 0), True),
+        ("fig2_conventional", ("receiver", "table", "initial_weight"), True),
+        ("fig2_conventional", ("senders", 1, "table", "initial_weight"), "1"),
+        ("fig3_minimalist", ("receiver", "temperature"), True),
+        ("fig5_generalist_preserving", ("receiver", "alpha"), True),
+    ],
+    ids=["weight-string", "weight-true", "initial-weight-true", "initial-weight-string",
+         "temperature", "alpha"],
+)
+def test_audit_rejects_a_number_field_that_is_not_a_number(tmp_path, capsys, figure, path, value):
+    # float() and ``not x > 0`` took all but "1", and the audit read them with
+    # exit 0 or 3; "1" failed with a message that named no key
+    def rewrite(policy):
+        node = policy
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+
+    code, err = audit_rewritten_policy(tmp_path, capsys, rewrite, figure)
+    assert code == EXIT_CONFIG_ERROR
+    key = next(k for k in reversed(path) if isinstance(k, str))
+    assert f"malformed policy file ({key} must be a number, not {value!r})" in err
+
+
+@pytest.mark.parametrize("index", [True, 1.0], ids=str)
+def test_audit_rejects_a_sender_index_that_is_not_an_integer(tmp_path, capsys, index):
+    # true audited as sender 1, since (True, 2) == (1, 2); 1.0 failed as a
+    # TypeError that named no key
+    code, err = audit_rewritten_policy(
+        tmp_path, capsys, lambda policy: policy["senders"][1].update(sender_index=index)
+    )
+    assert code == EXIT_CONFIG_ERROR
+    where = f"senders[1]: (sender_index, alphabet size) is ({index!r}, 2), not (1, 2)"
+    assert f"malformed policy file ({where})" in err
 
 
 @pytest.mark.parametrize("weight, total", [(0, "0.0"), (1e308, "inf")])

@@ -81,6 +81,35 @@ def test_config_check_bounds_preserving_copies(count, fits):
             config.check()
 
 
+@pytest.mark.parametrize(
+    "alpha, second, fits",
+    [
+        (1e-150, ReplacementEvent(20, 0, "mA0", "mA?"), True),
+        (1e-160, ReplacementEvent(20, 0, "mA0", "mA?"), False),
+        (1e-300, ReplacementEvent(20, 1, "mB?", "mB!"), True),
+    ],
+    ids=["both-senders-fits", "both-senders", "one-sender"],
+)
+def test_config_check_bounds_preserving_copies_from_below(alpha, second, fits):
+    # with events on both senders the copy for {mA?, mB?} is alpha ** 2, no
+    # longer a normal float below about 1.5e-154 (at 1e-170 it rounds to 0);
+    # with events on one sender no copy falls below alpha
+    events = (ReplacementEvent(10, 1, "mB0", "mB?"), second)
+    config = small_config(
+        receiver_kind="generalist",
+        introduction_mode="preserving",
+        alpha=alpha,
+        total_turns=400,
+        events=events,
+    )
+    if fits:
+        run(config)
+    else:
+        message = r"^alpha: copies could weigh 1e-160 \*\* 2, not a normal float$"
+        with pytest.raises(ValueError, match=message):
+            config.check()
+
+
 def test_config_check_rejects_a_game_spec_built_directly():
     # GameSpec's constructor checks nothing; from_json_dict and the game
     # builders do, so check() is the only guard for a spec built in code
@@ -123,9 +152,23 @@ def test_snapshot_cadence_and_phases():
     assert set(trajectory.event_snapshots) == {(1000, "pre"), (1000, "post")}
 
 
-def test_run_names_the_turn_of_the_first_row_it_cannot_normalize(monkeypatch):
-    # reports are computed after the last turn, so a failing check there
-    # names the first stop it fails at
+def test_run_reports_the_last_turn():
+    # the last turn used to go unreported unless a stop fell on it
+    trajectory = run(small_config(total_turns=1000, snapshot_every=300))
+    assert [r.turn for r in trajectory.reports] == [0, 300, 600, 900, 1000]
+    event = ReplacementEvent(400, 1, "mB0", "mB?")
+    trajectory = run(small_config(total_turns=1000, snapshot_every=5000, events=(event,)))
+    assert [(r.turn, r.phase) for r in trajectory.reports] == [
+        (0, "regular"),
+        (400, "pre"),
+        (400, "post"),
+        (1000, "regular"),
+    ]
+    assert [r.turn for r in run(small_config(total_turns=0, events=())).reports] == [0]
+
+
+def test_run_names_the_context_of_a_row_it_cannot_normalize(monkeypatch):
+    # the config check rules such a row out; a patched read-out forces one
     act_weights = ConventionalReceiver.act_weights
 
     def zero_after_event(self, signal):
@@ -133,7 +176,7 @@ def test_run_names_the_turn_of_the_first_row_it_cannot_normalize(monkeypatch):
 
     monkeypatch.setattr(ConventionalReceiver, "act_weights", zero_after_event)
     event = ReplacementEvent(1000, 1, "mB0", "mB?")
-    message = r"^turn 1000 post: weights for context \('mA0', 'mB\?'\) total 0\.0$"
+    message = r"^weights for context \('mA0', 'mB\?'\) total 0\.0$"
     with pytest.raises(DegenerateContextError, match=message):
         run(small_config(events=(event,)))
 

@@ -7,7 +7,7 @@ every receiver setting, and 0-3 chained replacement events on distinct
 turns.  For each generated run:
 
 * the reports equal the brute-force oracle's metrics to 1e-9 at every event
-  snapshot, and at the end when the last report falls on the last turn;
+  snapshot and at the last turn, which is always reported;
 * ``run`` leaves the agents a plain loop leaves that composes each turn
   from the agents' methods (``sample_weights`` on the prior, each
   ``Sender.choose``, ``receiver.choose``, then on a rewarded turn each
@@ -22,7 +22,10 @@ turns.  For each generated run:
   ``load_policy`` to the same game, equal agents and array-equal snapshots.
 
 And the audit reads any policy file with one field changed to a value of
-another JSON type or shape without a traceback: it exits 0, 2 or 3.
+another JSON type or shape without a traceback: it exits 0, 2 or 3.  A
+preserving config with chained events, an extreme ``alpha`` and utilities up
+to 1e300 either fails its check, naming ``alpha`` or ``game.utility``, or
+runs to the end: no run fails after turn 1.
 """
 
 import contextlib
@@ -140,8 +143,8 @@ def test_run_invariants(policy_file, config):
     assert len(trajectory.event_snapshots) == 2 * len(config.events)
     snapshots = dict(trajectory.event_snapshots)
     last = trajectory.reports[-1]
-    if last.turn == config.total_turns:
-        snapshots[(last.turn, last.phase)] = engine.take_snapshot(spec, senders, receiver)
+    assert last.turn == config.total_turns
+    snapshots[(last.turn, last.phase)] = engine.take_snapshot(spec, senders, receiver)
     reports = {(r.turn, r.phase): r for r in trajectory.reports}
     for key, snapshot in snapshots.items():
         expected = oracle_metrics(enumerate_outcomes(spec, snapshot))
@@ -178,7 +181,7 @@ def test_run_invariants(policy_file, config):
             replay_report(turn, "pre")
             engine.apply_event(events[turn], plain_senders, plain_receiver)
             replay_report(turn, "post")
-        elif turn % config.snapshot_every == 0:
+        elif turn % config.snapshot_every == 0 or turn == config.total_turns:
             replay_report(turn, "regular")
     assert policy(plain_senders, plain_receiver) == policy(senders, receiver)
     replayed_reports = [report for report, _ in replayed.values()]
@@ -196,6 +199,54 @@ def test_run_invariants(policy_file, config):
     assert loaded_spec == spec
     assert policy(loaded_senders, loaded_receiver) == policy(senders, receiver)
     assert_same_snapshot(loaded, engine.take_snapshot(spec, senders, receiver))
+
+
+@st.composite
+def preserving_configs(draw) -> engine.TrajectoryConfig:
+    """Preserving runs on 2-3 senders, 2-4 events that take the senders in
+    turn, alpha log-uniform over [1e-200, 1e3] and utilities up to 1e300."""
+    num_senders = draw(st.integers(2, 3))
+    alphabets = [[f"s{i}m{j}" for j in range(2)] for i in range(num_senders)]
+    utilities = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 300).map(lambda e: 10.0**e))
+    utility = draw(st.lists(st.lists(utilities, min_size=2, max_size=2), min_size=2, max_size=2))
+    spec = GameSpec(
+        num_states=2,
+        sender_alphabets=tuple(map(tuple, alphabets)),
+        num_acts=2,
+        state_prior=(0.5, 0.5),
+        utility=tuple(map(tuple, utility)),
+    )
+    total_turns = draw(st.integers(2, 60))
+    turns = draw(st.lists(st.integers(1, total_turns), min_size=2, max_size=4, unique=True))
+    first = draw(st.integers(0, num_senders - 1))
+    events = []
+    for k, turn in enumerate(sorted(turns)):
+        sender = (first + k) % num_senders
+        old = draw(st.sampled_from(alphabets[sender]))
+        alphabets[sender][alphabets[sender].index(old)] = f"r{k}"
+        events.append(engine.ReplacementEvent(turn, sender, old, f"r{k}"))
+    return engine.TrajectoryConfig(
+        spec=spec,
+        receiver_kind="generalist",
+        introduction_mode="preserving",
+        alpha=10.0 ** draw(st.floats(-200, 3)),
+        total_turns=total_turns,
+        events=tuple(events),
+        snapshot_every=draw(st.integers(1, 60)),
+        seed=draw(st.integers(0, 2**16)),
+    )
+
+
+@settings(max_examples=100)
+@given(config=preserving_configs())
+def test_a_run_that_passes_its_check_does_not_fail(config):
+    # a run whose preserving copies rounded to 0 used to fail after turn 1
+    try:
+        config.check()
+    except ValueError as exc:
+        assert str(exc).startswith(("alpha: ", "game.utility: "))
+        return
+    engine.run(config)
 
 
 def small_dump(**settings) -> dict:
